@@ -13,6 +13,8 @@ from .oracle import QueryLedger, SecretString, make_teacher
 
 Teacher = Callable[[tuple[int, ...], int], int]
 
+MAX_EXHAUSTIVE_N = 12  # verify_optimality walks all 2^n secrets
+
 
 class ProtocolError(RuntimeError):
     """Teacher returned something other than a bit."""
@@ -71,8 +73,8 @@ class OptimalityReport:
 
 def verify_optimality(n: int) -> OptimalityReport:
     """Exhaustively check the learner against every n-bit secret."""
-    if not 1 <= n <= 12:
-        raise ValueError("exhaustive verification supports 1 <= n <= 12")
+    if not 1 <= n <= MAX_EXHAUSTIVE_N:
+        raise ValueError(f"exhaustive verification supports 1 <= n <= {MAX_EXHAUSTIVE_N}")
     total_queries = 0
     all_ok = True
     for value in range(1 << n):

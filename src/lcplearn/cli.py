@@ -9,7 +9,7 @@ import json
 import sys
 
 from .circuit import parse, serialize
-from .classical import learn_classical
+from .classical import MAX_EXHAUSTIVE_N, learn_classical
 from .noise import NoiseProfile, estimate_asp
 from .oracle import QueryLedger, SecretString, make_teacher, oracle_diagonal
 from .quantum import run_quantum_learn
@@ -50,7 +50,10 @@ def _cmd_learn(parser, args) -> int:
             "total_queries": queries,
         }
     else:
-        result = run_quantum_learn(s, trace=args.trace)
+        try:
+            result = run_quantum_learn(s, trace=args.trace)
+        except ValueError as exc:  # only the dense traced path has a width limit
+            parser.error(f"--trace: {exc}")
         payload = {
             "recovered": "".join(map(str, result.recovered)),
             "classical_queries": result.classical_queries,
@@ -147,8 +150,12 @@ def _cmd_transpile(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(serialize(final))
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(serialize(final))
+        except OSError as exc:
+            print(f"transpile: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
     _report(
         "transpile",
         {"in": args.infile, "target": args.target, "opt": args.opt},
@@ -190,6 +197,8 @@ def _cmd_asp(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
+    if "classical" in names and args.max_n is not None and not 1 <= args.max_n <= MAX_EXHAUSTIVE_N:
+        parser.error(f"--max-n for the classical suite must be in 1..{MAX_EXHAUSTIVE_N}, got {args.max_n}")
     rows = run_suites(names, max_n=args.max_n)
     for row in rows:
         print(row.line(), file=sys.stderr)

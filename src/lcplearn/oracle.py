@@ -3,7 +3,9 @@
 A query is a pair (x, q); the answer is 1 iff the longest common prefix
 of the secret and x is longer than q.  The quantum form is a +-1 phase
 diagonal over the (x, q) register, indexed with x as the high n bits and
-q as the low t bits.
+q as the low t bits.  The learner's own rounds touch only four (x, q)
+entries each, which PhaseOracle.apply_pair evaluates without the
+diagonal.
 """
 
 import threading
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import Statevector
+from .statevector import Statevector, check_dense_width
 
 
 def _as_bits(value) -> tuple[int, ...]:
@@ -42,10 +44,7 @@ class SecretString:
         return len(self.bits)
 
     def as_int(self) -> int:
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
+        return int(str(self), 2)
 
     def __str__(self):
         return "".join(str(b) for b in self.bits)
@@ -129,6 +128,7 @@ def oracle_diagonal(s: SecretString, t: int) -> np.ndarray:
     """
     if t < 1:
         raise ValueError("q register needs at least one qubit")
+    check_dense_width(s.n + t)
     lcps = lcp_table(s)
     q_vals = np.arange(1 << t, dtype=np.int64)
     hit = lcps[:, None] > q_vals[None, :]
@@ -139,16 +139,42 @@ class PhaseOracle:
     """Phase-kickback form of the teacher, applied directly as a diagonal.
 
     The oracle ancilla is never materialized; each application to a state
-    counts as one quantum oracle use on the ledger.
+    counts as one quantum oracle use on the ledger.  The dense diagonal is
+    built on first use, so an oracle that only ever answers apply_pair
+    never allocates it.
     """
 
     def __init__(self, s: SecretString, t: int, ledger: QueryLedger | None = None):
         self.secret = s
         self.t = t
         self.ledger = ledger
-        self.signs = oracle_diagonal(s, t)
+        self._secret_int = s.as_int()
+        self._signs: np.ndarray | None = None
+
+    @property
+    def signs(self) -> np.ndarray:
+        """The +-1 diagonal over the full (x, q) register."""
+        if self._signs is None:
+            self._signs = oracle_diagonal(self.secret, self.t)
+        return self._signs
 
     def apply(self, state: Statevector) -> None:
         if self.ledger is not None:
             self.ledger.count_quantum()
         state.apply_phase_diagonal(self.signs)
+
+    def apply_pair(self, pair: Statevector, candidates, q: int) -> None:
+        """One oracle use on a state whose basis states stand for `candidates`.
+
+        candidates[b] is the n-bit x (as an int, MSB first) that basis state
+        b of `pair` represents, with the q register fixed at `q`.  Its sign
+        is -1 iff lcp(s, x) > q, i.e. iff the top q+1 bits of x and s agree.
+        """
+        if self.ledger is not None:
+            self.ledger.count_quantum()
+        n = self.secret.n
+        signs = np.array([
+            -1.0 if q < n and (x ^ self._secret_int) >> (n - 1 - q) == 0 else 1.0
+            for x in candidates
+        ])
+        pair.apply_phase_diagonal(signs)

@@ -6,6 +6,14 @@ oracle (flipping the sign of exactly one candidate), then collapses the
 pair back to a basis state with the reflection operator R.  Even n needs
 n/2 rounds; odd n runs (n-1)/2 rounds and finishes with one classical
 query for the last bit; n=1 is a single classical query.
+
+The state entering every round is a basis state, so a round only ever
+moves four amplitudes.  run_quantum_learn therefore simulates each round
+on a 2-qubit state of its pair and carries the recovered prefix as an
+int: O(n) work per round at any n.  The dense (n+t)-qubit statevector
+stays the reference.  The traced run and certify_round use it, because
+their RoundTraces hold full states, and it is bounded by
+MAX_DENSE_QUBITS.
 """
 
 import math
@@ -194,22 +202,25 @@ def _traced_round(
     )
 
 
+def _max_deviation(vec: np.ndarray, idxs, values) -> float:
+    """max |vec - expected|, where expected holds `values` at idxs and 0 elsewhere."""
+    dev = np.abs(vec)
+    dev[idxs] = np.abs(vec[idxs] - values)
+    return float(dev.max())
+
+
 def _check_round_trace(trace: RoundTrace, s: SecretString, layout: AlgorithmLayout) -> None:
     i = trace.round_index
     idxs, _ = _candidate_indices(s, i, layout.t)
 
-    expected = np.zeros_like(trace.superposed)
-    expected[idxs] = 0.5
-    if np.max(np.abs(trace.superposed - expected)) > AMP_TOL:
+    if _max_deviation(trace.superposed, idxs, 0.5) > AMP_TOL:
         raise CertificationError(
             "superposition", f"round {i} state is not uniform over the candidate set"
         )
 
     hit = (s.bits[2 * i - 2], s.bits[2 * i - 1])
-    expected = np.zeros_like(trace.phased)
-    for k, idx in zip(_K_PAIRS, idxs):
-        expected[idx] = -0.5 if k == hit else 0.5
-    if np.max(np.abs(trace.phased - expected)) > AMP_TOL:
+    phases = [-0.5 if k == hit else 0.5 for k in _K_PAIRS]
+    if _max_deviation(trace.phased, idxs, phases) > AMP_TOL:
         raise CertificationError(
             "phase-pattern", f"round {i} oracle did not flip exactly the matching candidate"
         )
@@ -217,36 +228,62 @@ def _check_round_trace(trace: RoundTrace, s: SecretString, layout: AlgorithmLayo
     n, t = layout.n, layout.t
     bits = s.bits[: 2 * i] + (0,) * (n - 2 * i)
     target = (_bits_to_int(bits) << t) | q_value(i)
-    expected = np.zeros_like(trace.collapsed)
-    expected[target] = 1.0
-    if np.max(np.abs(trace.collapsed - expected)) > AMP_TOL:
+    if _max_deviation(trace.collapsed, [target], 1.0) > AMP_TOL:
         raise CertificationError(
             "basis-collapse", f"round {i} reflection did not land on a basis state"
         )
 
 
+def _pair_round(rc: RoundCircuit, prefix: int, n: int) -> int:
+    """Run round rc.index on the 2-qubit state of its pair.
+
+    `prefix` holds the 2i-2 bits recovered so far.  Basis state k of the
+    pair stands for the candidate x = prefix . k . 0...; the q register
+    sits at q_value(i) for the whole round, so it is passed as a number.
+    Returns the pair's collapsed outcome k in 0..3.
+    """
+    shift = n - 2 * rc.index
+    candidates = [((prefix << 2) | k) << shift for k in range(4)]
+    pair = init_basis(2, 0)
+    pair.apply_gate(H(1))
+    pair.apply_gate(H(2))
+    rc.oracle.apply_pair(pair, candidates, q_value(rc.index))
+    pair.apply_unitary2(1, 2, r_operator())
+    outcome = pair.dominant_outcome(tol=AMP_TOL)
+    if outcome is None:
+        raise RuntimeError(f"round {rc.index} did not collapse to a basis state; learner not exact")
+    return int(outcome, 2)
+
+
 def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:
-    """Recover the secret with ceil(n/2) total oracle interactions."""
+    """Recover the secret with ceil(n/2) total oracle interactions.
+
+    With trace=True the rounds run on the dense statevector and return
+    each round's intermediate states; that needs n + t <= MAX_DENSE_QUBITS
+    and raises ValueError beyond it.
+    """
     n = s.n
     layout = AlgorithmLayout.for_n(n)
     ledger = QueryLedger()
     traces: list[RoundTrace] = []
+    x_bits = (0,) * n
 
     if layout.rounds > 0:
-        state = init_basis(n + layout.t, 0)
         oracle = PhaseOracle(s, layout.t, ledger)
-        for i in range(1, layout.rounds + 1):
-            rc = build_round_circuit(i, layout, oracle)
-            if trace:
-                traces.append(_traced_round(state, rc, s, layout))
-            else:
-                rc.apply(state)
-        outcome = state.dominant_outcome(tol=AMP_TOL)
-        if outcome is None:
-            raise RuntimeError("final state is not a basis state; learner not exact")
-        x_bits = tuple(int(c) for c in outcome[:n])
-    else:
-        x_bits = (0,) * n
+        if trace:
+            state = init_basis(n + layout.t, 0)
+            for i in range(1, layout.rounds + 1):
+                traces.append(_traced_round(state, build_round_circuit(i, layout, oracle), s, layout))
+            outcome = state.dominant_outcome(tol=AMP_TOL)
+            if outcome is None:
+                raise RuntimeError("final state is not a basis state; learner not exact")
+            x_bits = tuple(int(c) for c in outcome[:n])
+        else:
+            prefix = 0
+            for i in range(1, layout.rounds + 1):
+                prefix = (prefix << 2) | _pair_round(build_round_circuit(i, layout, oracle), prefix, n)
+            width = 2 * layout.rounds
+            x_bits = tuple(int(c) for c in format(prefix, f"0{width}b")) + x_bits[width:]
 
     if layout.uses_classical_tail:
         answer = f(s, Query(x_bits, n - 1), ledger)

@@ -4,6 +4,10 @@ Basis index convention: qubit 1 is the most significant bit, so for an
 algorithm register split into an n-bit x part and a t-bit q part the
 index is (x << t) | q.  States own their amplitude buffer and are
 mutated in place by at most one caller at a time.
+
+Dense buffers are capped at MAX_DENSE_QUBITS qubits: 2^24 complex
+amplitudes are 256 MiB, and a wider request is refused before anything
+is allocated rather than left to fail in the allocator.
 """
 
 import numpy as np
@@ -12,6 +16,15 @@ from . import kernels
 from .circuit import Circuit, Gate, gate_matrix
 
 NORM_TOL = 1e-9
+MAX_DENSE_QUBITS = 24
+
+
+def check_dense_width(num_qubits: int) -> None:
+    """Raise ValueError when a dense 2^num_qubits buffer is over the cap."""
+    if num_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(
+            f"{num_qubits} qubits exceed the dense simulation limit of {MAX_DENSE_QUBITS}"
+        )
 
 
 class Statevector:
@@ -96,6 +109,7 @@ class Statevector:
 
 
 def init_basis(num_qubits: int, index: int) -> Statevector:
+    check_dense_width(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)

@@ -6,9 +6,7 @@ are frozen here as literals and double as regression vectors.
 """
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,22 +58,6 @@ class CheckResult:
 def _all_secrets(n: int):
     for value in range(1 << n):
         yield SecretString(tuple((value >> (n - 1 - j)) & 1 for j in range(n)))
-
-
-def _thread_count() -> int:
-    """Suite parallelism cap; LCP_LEARN_THREADS overrides the default."""
-    value = os.environ.get("LCP_LEARN_THREADS")
-    if value:
-        return max(1, int(value))
-    return min(8, os.cpu_count() or 1)
-
-
-def _parallel_all(fn, items) -> bool:
-    workers = _thread_count()
-    if workers == 1:
-        return all(fn(item) for item in items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return all(pool.map(fn, items))
 
 
 def _min_epl_recurrence(n_leaves: int) -> int:
@@ -133,7 +115,7 @@ def suite_quantum(max_n: int = 8, random_secrets: int = 256, seed: int = 2024) -
     rows = []
     start = time.perf_counter()
     for n in range(2, max_n + 1):
-        ok = _parallel_all(_quantum_run_ok, _all_secrets(n))
+        ok = all(_quantum_run_ok(s) for s in _all_secrets(n))
         rows.append(CheckResult(f"quantum n={n} exhaustive", ok, f"{1 << n} secrets"))
 
     rng = np.random.default_rng(seed)

@@ -39,6 +39,21 @@ class TestLearn:
             main(["learn", "--secret", "10a"])
         assert err.value.code == 2
 
+    def test_trace_over_the_dense_limit_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["learn", "--secret", "01" * 15, "--trace"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dense simulation limit" in captured.err and "Traceback" not in captured.err
+
+    def test_untraced_learn_has_no_dense_limit(self, capsys):
+        code, doc, _ = run_cli(capsys, "learn", "--secret", "01" * 15)
+        assert code == 0
+        assert doc["recovered"] == "01" * 15
+        assert doc["quantum_oracle_uses"] == 15
+        assert doc["classical_queries"] == 0
+
 
 class TestSynth:
     def test_writes_parseable_circuit(self, capsys, tmp_path):
@@ -116,6 +131,16 @@ class TestTranspile:
         _, err = capsys.readouterr().out, capsys.readouterr().err
         assert code == 1
 
+    def test_unwritable_out_fails_cleanly(self, capsys, circuit_file, tmp_path):
+        code = main([
+            "transpile", "--in", str(circuit_file), "--target", "linear3",
+            "--out", str(tmp_path / "missing" / "x.qasm"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1  # the code synth returns for an unwritable --out
+        assert captured.out == ""
+        assert captured.err.startswith("transpile: cannot write") and captured.err.count("\n") == 1
+
     def test_explicit_mapping_flag(self, capsys, circuit_file):
         code, doc, _ = run_cli(
             capsys, "transpile", "--in", str(circuit_file), "--target", "quito",
@@ -178,6 +203,12 @@ class TestVerify:
         assert code == 0
         assert all(check["passed"] for check in doc["checks"])
         assert "PASS" in err
+
+    def test_classical_max_n_out_of_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "classical", "--max-n", "13"])
+        assert err.value.code == 2
+        assert "1..12" in capsys.readouterr().err
 
     def test_quantum_suite_passes(self, capsys):
         code, doc, _ = run_cli(capsys, "verify", "--suite", "quantum", "--max-n", "5")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import lcplearn.oracle as oracle_module
 from lcplearn import (
     PhaseOracle,
     Query,
     QueryLedger,
     SecretString,
+    Statevector,
     f,
     init_basis,
     lcp,
@@ -131,6 +133,38 @@ def test_phase_oracle_counts_uses_per_application():
     oracle.apply(state)
     assert ledger.quantum_oracle_uses == 2
     assert ledger.total == 2
+
+
+def test_oracle_diagonal_refuses_a_register_over_the_dense_limit():
+    with pytest.raises(ValueError, match="dense simulation limit"):
+        oracle_diagonal(SecretString((1,) * 40), 6)
+
+
+@pytest.mark.parametrize("secret", ["0110", "1111", "10010"])
+def test_apply_pair_flips_exactly_the_matching_candidates(secret, monkeypatch):
+    def no_diagonal(*args):
+        raise AssertionError("apply_pair built the dense diagonal")
+
+    monkeypatch.setattr(oracle_module, "oracle_diagonal", no_diagonal)
+    s = SecretString.from_string(secret)
+    n = s.n
+    ledger = QueryLedger()
+    oracle = PhaseOracle(s, 3, ledger)
+    uses = 0
+    for q in range(n):
+        for start in range(0, 1 << n, 4):
+            candidates = range(start, start + 4)
+            state = Statevector(2, np.full(4, 0.5))
+            oracle.apply_pair(state, candidates, q)
+            uses += 1
+            assert ledger.quantum_oracle_uses == uses
+            for x, amp in zip(candidates, state.amps):
+                bits = tuple((x >> (n - 1 - j)) & 1 for j in range(n))
+                assert amp == (-0.5 if f(s, Query(bits, q)) else 0.5)
+    # thresholds at or past n are padding: lcp <= n never exceeds them
+    state = Statevector(2, np.full(4, 0.5))
+    oracle.apply_pair(state, range(4), n)
+    assert np.array_equal(state.amps, np.full(4, 0.5))
 
 
 def test_secret_string_validation():

@@ -16,7 +16,7 @@ from lcplearn import (
     run_quantum_learn,
 )
 from lcplearn.circuit import X
-from lcplearn.quantum import q_value
+from lcplearn.quantum import _pair_round, q_value
 
 
 def all_secrets(n):
@@ -197,6 +197,34 @@ class TestRunQuantumLearn:
             assert np.max(off_support) < 1e-9
 
 
+class TestPairPath:
+    """The untraced learner runs each round on its pair; the dense trace is its reference."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_reference_exhaustively(self, n):
+        layout = AlgorithmLayout.for_n(n)
+        for s in all_secrets(n):
+            pair = run_quantum_learn(s)
+            dense = run_quantum_learn(s, trace=True)
+            assert pair.recovered == dense.recovered == s.bits
+            assert (pair.quantum_uses, pair.classical_queries) == (dense.quantum_uses, dense.classical_queries)
+            oracle = PhaseOracle(s, layout.t)
+            prefix = 0
+            for rt in dense.traces:
+                i = rt.round_index
+                prefix = (prefix << 2) | _pair_round(build_round_circuit(i, layout, oracle), prefix, n)
+                dense_x = int(np.argmax(np.abs(rt.collapsed))) >> layout.t
+                assert dense_x == prefix << (n - 2 * i)
+
+    @pytest.mark.parametrize("n", [1000, 1001, 10_001])
+    def test_learns_secrets_far_past_the_dense_limit(self, n):
+        rng = np.random.default_rng(n)
+        s = SecretString(tuple(int(b) for b in rng.integers(0, 2, n)))
+        result = run_quantum_learn(s)
+        assert result.recovered == s.bits
+        assert (result.quantum_uses, result.classical_queries) == (n // 2, n % 2)
+
+
 class TestCertifyRound:
     def test_spec_case_n4_round2(self):
         s = SecretString.from_string("1101")
@@ -227,8 +255,9 @@ class TestCertifyRound:
         from lcplearn.quantum import _check_round_trace, _traced_round
 
         trace = _traced_round(state, rc, s, layout)
-        with pytest.raises(CertificationError):
+        with pytest.raises(CertificationError) as err:
             _check_round_trace(trace, s, layout)
+        assert err.value.stage == "phase-pattern"
 
     def test_round_out_of_range(self):
         with pytest.raises(ValueError):

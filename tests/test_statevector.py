@@ -13,7 +13,7 @@ from lcplearn import (
     simulate,
 )
 from lcplearn.circuit import gate_matrix
-from lcplearn.statevector import Statevector
+from lcplearn.statevector import MAX_DENSE_QUBITS, Statevector, check_dense_width
 
 SQRT1_2 = 1 / np.sqrt(2)
 
@@ -41,6 +41,14 @@ class TestInitBasis:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             init_basis(2, 4)
+
+    def test_width_over_the_dense_limit_refused_before_allocating(self):
+        check_dense_width(MAX_DENSE_QUBITS)
+        with pytest.raises(ValueError, match="dense simulation limit"):
+            check_dense_width(MAX_DENSE_QUBITS + 1)
+        # 2^60 amplitudes could not be allocated: the refusal comes first
+        with pytest.raises(ValueError, match="dense simulation limit"):
+            init_basis(60, 0)
 
 
 class TestApplyGate:

@@ -2,7 +2,6 @@ import pytest
 
 from lcplearn.verify import (
     CheckResult,
-    _thread_count,
     run_suites,
     suite_noise,
     suite_synth,
@@ -36,11 +35,3 @@ def test_run_suites_respects_selection():
     rows = run_suites(("synth",))
     assert all("diagonal" in r.name or "oracle" in r.name for r in rows)
 
-
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("LCP_LEARN_THREADS", "3")
-    assert _thread_count() == 3
-    monkeypatch.setenv("LCP_LEARN_THREADS", "0")
-    assert _thread_count() == 1
-    monkeypatch.delenv("LCP_LEARN_THREADS")
-    assert _thread_count() >= 1
