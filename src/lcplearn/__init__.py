@@ -12,7 +12,7 @@ from .classical import (
     min_external_path_length,
     verify_optimality,
 )
-from .noise import AspReport, NoiseProfile, estimate_asp, run_noisy
+from .noise import AspReport, NoiseProfile, estimate_asp, exact_asp, run_noisy
 from .oracle import (
     PhaseOracle,
     Query,
@@ -91,6 +91,7 @@ __all__ = [
     "decompose_H",
     "equal_up_to_global_phase",
     "estimate_asp",
+    "exact_asp",
     "f",
     "init_basis",
     "lcp",

@@ -173,6 +173,13 @@ def _cmd_transpile(parser, args) -> int:
 
 def _cmd_asp(parser, args) -> int:
     s = _secret(parser, args.secret)
+    if s.n < 2:
+        print(
+            "asp: needs a secret of at least 2 bits; a 1-bit secret is learned by "
+            "one classical query and has no quantum round to replay",
+            file=sys.stderr,
+        )
+        return 2
     if args.noise == "default":
         profile = None  # zero noise
     elif args.noise == "quito":
@@ -197,8 +204,9 @@ def _cmd_asp(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
-    if "classical" in names and args.max_n is not None and not 1 <= args.max_n <= MAX_EXHAUSTIVE_N:
-        parser.error(f"--max-n for the classical suite must be in 1..{MAX_EXHAUSTIVE_N}, got {args.max_n}")
+    sized = [name for name in ("classical", "quantum") if name in names]
+    if sized and args.max_n is not None and not 1 <= args.max_n <= MAX_EXHAUSTIVE_N:
+        parser.error(f"--max-n for the {'/'.join(sized)} suite must be in 1..{MAX_EXHAUSTIVE_N}, got {args.max_n}")
     rows = run_suites(names, max_n=args.max_n)
     for row in rows:
         print(row.line(), file=sys.stderr)

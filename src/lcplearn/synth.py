@@ -69,13 +69,16 @@ def _gray_group(
 ) -> list[Gate]:
     """Chain all masks whose last member qubit is `target`, sharing CNOTs.
 
-    Control combinations walk in Gray-code order; zero coefficients are
-    jumped over, falling back to the full walk if jumping costs more.
+    Control combinations walk in Gray-code order and zero coefficients
+    are jumped over.  The jumped walk visits a subsequence of a cyclic
+    Gray code from 0 back to 0, so by the triangle inequality for Hamming
+    distance it never needs more CNOTs than the full walk's 2^controls.
     """
     m = spectrum.width
     p_target = m - target
     n_controls = target - 1
-    group = []  # (gray position, control mask in v-space, angle)
+    gates: list[Gate] = []
+    cur = 0  # control mask whose parity the target holds now
     for j in range(1 << n_controls):
         v = j ^ (j >> 1)
         w = 1 << p_target
@@ -83,36 +86,18 @@ def _gray_group(
             if (v >> p) & 1:
                 w |= 1 << (p_target + 1 + p)
         coeff = spectrum.coefficients[w]
-        if abs(coeff) > tol:
-            group.append((j, v, -2.0 * coeff))
-    if not group:
-        return []
-
-    def emit(entries) -> list[Gate]:
-        gates: list[Gate] = []
-        cur = 0
-        for _, v, angle in entries:
-            diff = cur ^ v
-            for p in range(n_controls):
-                if (diff >> p) & 1:
-                    gates.append(CX(target - 1 - p, target))
-            cur = v
-            if angle is not None:
-                gates.append(RZ(angle, target))
+        if abs(coeff) <= tol:
+            continue
+        diff = cur ^ v
         for p in range(n_controls):
-            if (cur >> p) & 1:
+            if (diff >> p) & 1:
                 gates.append(CX(target - 1 - p, target))
-        return gates
-
-    jumped = emit(group)
-    # defensive: no visited subset has been found to cost more than the
-    # full walk, but the walk is the guaranteed 2^controls bound
-    budget = 1 << n_controls
-    if sum(g.kind == "cx" for g in jumped) <= budget:
-        return jumped
-    angles = {j: angle for j, _, angle in group}
-    full = [(j, j ^ (j >> 1), angles.get(j)) for j in range(1 << n_controls)]
-    return emit(full)
+        cur = v
+        gates.append(RZ(-2.0 * coeff, target))
+    for p in range(n_controls):
+        if (cur >> p) & 1:
+            gates.append(CX(target - 1 - p, target))
+    return gates
 
 
 def _naive_group(spectrum: WalshSpectrum, target: int, tol: float) -> list[Gate]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .classical import min_external_path_length, verify_optimality
-from .noise import NoiseProfile, estimate_asp
+from .noise import NoiseProfile, estimate_asp, exact_asp
 from .oracle import Query, SecretString, f, oracle_diagonal
 from .quantum import CertificationError, certify_round, run_quantum_learn
 from .statevector import simulate
@@ -297,6 +297,20 @@ def suite_noise() -> list[CheckResult]:
     rows.append(CheckResult("zero-noise asp = 1.0", ok, "12 instances"))
 
     base = NoiseProfile.quito()
+    worst = 0.0
+    for text in DEMO_SECRETS:
+        demo = SecretString.from_string(text)
+        exact = exact_asp(demo, base)
+        estimate = estimate_asp(demo, base, trials=1, shots=2048, seed=21).mean
+        worst = max(worst, abs(estimate - exact) / math.sqrt(exact * (1.0 - exact) / 2048))
+    rows.append(
+        CheckResult(
+            "quito asp within 5 SE of exact density matrix (2048 shots)",
+            worst <= 5.0,
+            f"12 instances, worst {worst:.2f} SE",
+        )
+    )
+
     s = SecretString.from_string("00")
     mono = True
     for family in ("cx", "readout", "sq"):
@@ -325,9 +339,9 @@ def suite_noise() -> list[CheckResult]:
 def run_suites(names, max_n: int | None = None) -> list[CheckResult]:
     rows: list[CheckResult] = []
     if "classical" in names:
-        rows.extend(suite_classical(max_n or 10))
+        rows.extend(suite_classical(10 if max_n is None else max_n))
     if "quantum" in names:
-        rows.extend(suite_quantum(max_n or 8))
+        rows.extend(suite_quantum(8 if max_n is None else max_n))
     if "synth" in names:
         rows.extend(suite_synth())
     if "transpile" in names:

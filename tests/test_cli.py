@@ -189,6 +189,16 @@ class TestAsp:
         assert code == 0
         assert 0.0 <= doc["asp"]["mean"] <= 1.0
 
+    def test_one_bit_secret_is_refused_in_one_line(self, capsys):
+        code = main(["asp", "--secret", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "asp: needs a secret of at least 2 bits; a 1-bit secret is learned by "
+            "one classical query and has no quantum round to replay"
+        ]
+
     def test_malformed_noise_json(self, capsys, tmp_path):
         noise = tmp_path / "bad.json"
         noise.write_text("{\"cx_error\": {}}")
@@ -209,6 +219,13 @@ class TestVerify:
             main(["verify", "--suite", "classical", "--max-n", "13"])
         assert err.value.code == 2
         assert "1..12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_n", ["0", "13"])
+    def test_quantum_max_n_out_of_range_is_usage_error(self, capsys, max_n):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "quantum", "--max-n", max_n])
+        assert err.value.code == 2
+        assert "quantum suite must be in 1..12" in capsys.readouterr().err
 
     def test_quantum_suite_passes(self, capsys):
         code, doc, _ = run_cli(capsys, "verify", "--suite", "quantum", "--max-n", "5")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,9 +12,78 @@ from lcplearn import (
     NoiseProfile,
     SecretString,
     estimate_asp,
+    exact_asp,
+    init_basis,
     run_noisy,
     simulate,
 )
+from lcplearn.noise import _seed_tuple, _transpiled, exact_distribution
+from lcplearn.transpile import CouplingGraph
+
+DEMO_SECRETS = ("00", "01", "10", "11", "000", "001", "010", "011", "100", "101", "110", "111")
+
+_REF_PAULIS = (
+    None,
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _reference_run_noisy(circuit, profile, shots, seed=0):
+    """The per-shot replay loop: every shot with a fired error reruns the
+    whole circuit from |0...0>.  `run_noisy` must match it bit for bit."""
+    width = circuit.width
+    base = _seed_tuple(seed)
+    site_prob = np.empty(len(circuit.gates))
+    for k, g in enumerate(circuit.gates):
+        if g.kind == "cx":
+            site_prob[k] = profile.cx_for(g.qubits[0] - 1, g.qubits[1] - 1)
+        else:
+            site_prob[k] = profile.single_qubit_error[g.qubits[0] - 1]
+    readout = np.array(profile.readout_error[:width])
+
+    clean_cum = np.cumsum(simulate(circuit).probabilities())
+    clean_cum[-1] = 1.0
+
+    counts = {}
+    n_sites = len(circuit.gates)
+    for shot in range(shots):
+        rng = np.random.default_rng(base + (shot,))
+        fire_u = rng.random(n_sites)
+        pick_u = rng.random(n_sites)
+        meas_u = rng.random()
+        read_u = rng.random(width)
+
+        fired = fire_u < site_prob
+        if fired.any():
+            state = init_basis(width, 0)
+            for k, g in enumerate(circuit.gates):
+                state.apply_gate(g)
+                if not fired[k]:
+                    continue
+                if g.kind == "cx":
+                    choice = int(pick_u[k] * 15) + 1  # skip identity-identity
+                    p1, p2 = divmod(choice, 4)
+                    if p1:
+                        state.apply_unitary1(g.qubits[0], _REF_PAULIS[p1])
+                    if p2:
+                        state.apply_unitary1(g.qubits[1], _REF_PAULIS[p2])
+                else:
+                    choice = int(pick_u[k] * 3) + 1
+                    state.apply_unitary1(g.qubits[0], _REF_PAULIS[choice])
+            cum = np.cumsum(state.probabilities())
+            cum[-1] = 1.0
+        else:
+            cum = clean_cum
+
+        outcome = int(np.searchsorted(cum, meas_u, side="right"))
+        for q in range(width):
+            if read_u[q] < readout[q]:
+                outcome ^= 1 << (width - 1 - q)
+        key = format(outcome, f"0{width}b")
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 class TestNoiseProfile:
@@ -98,6 +168,10 @@ class TestRunNoisy:
         hist = run_noisy(bell_circuit(), NoiseProfile.uniform(2, 0.1, 0.1, 0.01), 1234, seed=5)
         assert sum(hist.values()) == 1234
 
+    def test_keys_in_ascending_order(self):
+        hist = run_noisy(bell_circuit(), NoiseProfile.uniform(2, 0.3, 0.2, 0.1), 500, seed=4)
+        assert list(hist) == sorted(hist)
+
     def test_profile_too_small(self):
         with pytest.raises(ValueError):
             run_noisy(bell_circuit(), NoiseProfile.zero(1), 10, seed=0)
@@ -117,6 +191,72 @@ class TestRunNoisy:
             if all(key[pos] == str(bit) for pos, bit in target_positions)
         )
         assert 0.5 < good / 40960 < 1.0
+
+
+class TestBitIdentity:
+    """The cached-prefix, pattern-memo replay against the per-shot loop."""
+
+    @pytest.mark.parametrize("secret", DEMO_SECRETS)
+    def test_demo_secrets_match_reference(self, secret):
+        circuit, _ = _transpiled(secret, CouplingGraph.quito())
+        quito = NoiseProfile.quito()
+        for profile in (NoiseProfile.zero(5), quito, quito.scaled(cx=5, sq=50)):
+            expected = _reference_run_noisy(circuit, profile, 2048, seed=(3, 1))
+            assert run_noisy(circuit, profile, 2048, seed=(3, 1)) == expected
+
+    def test_bell_under_certain_cx_errors_matches_reference(self):
+        profile = NoiseProfile.uniform(2, cx=1.0, readout=0.3, sq=0.5)
+        expected = _reference_run_noisy(bell_circuit(), profile, 3000, seed=12)
+        assert run_noisy(bell_circuit(), profile, 3000, seed=12) == expected
+
+    def test_shots_span_several_blocks(self):
+        from lcplearn.noise import _BLOCK_SHOTS
+
+        shots = 2 * _BLOCK_SHOTS + 7
+        profile = NoiseProfile.uniform(2, cx=0.2, readout=0.05, sq=0.02)
+        expected = _reference_run_noisy(bell_circuit(), profile, shots, seed=0)
+        assert run_noisy(bell_circuit(), profile, shots, seed=0) == expected
+
+    def test_seeded_asp_trials_unchanged(self):
+        """Counts of the per-shot replay, recorded before the rewrite."""
+        report = estimate_asp(
+            SecretString.from_string("010"), NoiseProfile.quito(), trials=5, shots=2048, seed=7
+        )
+        assert report.per_trial == tuple(c / 2048 for c in (1763, 1745, 1752, 1758, 1745))
+
+
+class TestExactAsp:
+    def test_zero_noise_is_one(self):
+        for text in DEMO_SECRETS:
+            assert exact_asp(SecretString.from_string(text)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.09, 0.3, 1.0])
+    def test_one_cx_on_zero_state(self, p):
+        """3 of the 15 Paulis (IZ, ZI, ZZ) leave |00> in place."""
+        profile = NoiseProfile.uniform(2, cx=p, readout=0.0, sq=0.0)
+        probs = exact_distribution(Circuit(2, [CX(1, 2)]), profile)
+        assert probs[0] == pytest.approx(1 - 12 * p / 15, abs=1e-15)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_readout_confusion_on_the_diagonal(self):
+        profile = NoiseProfile({}, (0.1, 0.25), (0.0, 0.0))
+        probs = exact_distribution(Circuit(2, [X(1)]), profile)  # clean readout 10
+        expected = [0.1 * 0.75, 0.1 * 0.25, 0.9 * 0.75, 0.9 * 0.25]
+        assert probs == pytest.approx(expected, abs=1e-15)
+
+    def test_monte_carlo_within_five_standard_errors(self):
+        """One 8192-shot trial per demo secret under the quito calibration."""
+        profile = NoiseProfile.quito()
+        for text in DEMO_SECRETS:
+            s = SecretString.from_string(text)
+            exact = exact_asp(s, profile)
+            estimate = estimate_asp(s, profile, trials=1, shots=8192, seed=0).mean
+            se = math.sqrt(exact * (1 - exact) / 8192)
+            assert abs(estimate - exact) <= 5 * se, text
+
+    def test_profile_too_small(self):
+        with pytest.raises(ValueError):
+            exact_distribution(bell_circuit(), NoiseProfile.zero(1))
 
 
 class TestEstimateAsp:

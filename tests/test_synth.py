@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcplearn import (
     CX,
@@ -24,6 +26,7 @@ from lcplearn import (
     walsh_decompose,
 )
 from lcplearn.oracle import Query, f
+from lcplearn.synth import COEFF_TOL, WalshSpectrum, _gray_group
 
 
 def mat_equal_up_to_phase(a, b, tol=1e-9):
@@ -102,6 +105,21 @@ class TestSynthDiagonal:
             counts = synth_diagonal(signs).gate_counts()
             assert counts["cx"] <= (1 << m) - 2
             assert counts["rz"] <= (1 << m) - 1
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_jumped_gray_walk_within_full_walk_budget(self, data):
+        """Skipping zero coefficients never costs more CNOTs than the full
+        Gray walk over a target's 2^controls control masks."""
+        m = data.draw(st.integers(1, 7), label="width")
+        masks = data.draw(st.sets(st.integers(1, (1 << m) - 1), max_size=12), label="masks")
+        coefficients = np.zeros(1 << m)
+        for w in masks:
+            coefficients[w] = data.draw(st.floats(0.01, 3.0), label=f"c{w}")
+        spectrum = WalshSpectrum(m, coefficients)
+        for target in range(1, m + 1):
+            gates = _gray_group(spectrum, target, COEFF_TOL)
+            assert sum(g.kind == "cx" for g in gates) <= 1 << (target - 1)
 
     def test_naive_mode_equivalent_but_longer(self):
         signs = oracle_diagonal(SecretString.from_string("10"), 1)

@@ -29,9 +29,17 @@ def test_transpile_suite_all_green():
 def test_noise_suite_all_green():
     rows = suite_noise()
     assert rows and all(r.passed for r in rows)
+    assert any("exact density matrix" in r.name for r in rows)
 
 
 def test_run_suites_respects_selection():
     rows = run_suites(("synth",))
     assert all("diagonal" in r.name or "oracle" in r.name for r in rows)
 
+
+
+def test_run_suites_takes_max_n_literally():
+    """max_n=0 is a size (no exhaustive rows), not a request for the default."""
+    rows = run_suites(("classical", "quantum"), max_n=0)
+    sized = [r.name for r in rows if r.name.startswith(("classical n=", "quantum n="))]
+    assert not [name for name in sized if name.endswith("exhaustive")]
