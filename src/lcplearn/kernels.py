@@ -1,27 +1,16 @@
 """Statevector update kernels.
 
-The hot loops (single-qubit butterfly, two-qubit 4x4 update, diagonal
-multiply) are numba-jitted when numba is importable.  Setting the
-environment variable ``LCPLEARN_BACKEND=numpy`` forces the pure-numpy
-path; ``LCPLEARN_BACKEND=numba`` fails loudly if numba is missing.
+One vectorised numpy implementation of each hot loop: the single-qubit
+butterfly, the two-qubit 4x4 update and the diagonal multiply.
 
 All kernels mutate the amplitude array in place.  Qubit positions are
 given as bit positions (0 = least significant bit of the basis index).
 """
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-
-def apply_single_numpy(amps: np.ndarray, bit: int, u: np.ndarray) -> None:
+def apply_single(amps: np.ndarray, bit: int, u: np.ndarray) -> None:
     """Apply a 2x2 unitary to the qubit at `bit`, in place."""
     view = amps.reshape(-1, 2, 1 << bit)
     a0 = view[:, 0, :].copy()
@@ -30,7 +19,7 @@ def apply_single_numpy(amps: np.ndarray, bit: int, u: np.ndarray) -> None:
     view[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
 
 
-def apply_two_numpy(amps: np.ndarray, b1: int, b2: int, u: np.ndarray) -> None:
+def apply_two(amps: np.ndarray, b1: int, b2: int, u: np.ndarray) -> None:
     """Apply a 4x4 unitary to bits b1 (row-major high bit) and b2, in place."""
     p_hi, p_lo = (b1, b2) if b1 > b2 else (b2, b1)
     view = amps.reshape(-1, 2, 1 << (p_hi - p_lo - 1), 2, 1 << p_lo)
@@ -43,66 +32,15 @@ def apply_two_numpy(amps: np.ndarray, b1: int, b2: int, u: np.ndarray) -> None:
         slices[r][:] = u[r, 0] * cols[0] + u[r, 1] * cols[1] + u[r, 2] * cols[2] + u[r, 3] * cols[3]
 
 
-def apply_signs_numpy(amps: np.ndarray, signs: np.ndarray) -> None:
+def apply_signs(amps: np.ndarray, signs: np.ndarray) -> None:
     """Multiply amplitudes elementwise by a +-1 diagonal, in place."""
     amps *= signs
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def apply_single_numba(amps, bit, u):  # pragma: no cover - jitted
-        n = amps.shape[0]
-        stride = 1 << bit
-        step = stride << 1
-        for base in range(0, n, step):
-            for i0 in range(base, base + stride):
-                i1 = i0 + stride
-                a0 = amps[i0]
-                a1 = amps[i1]
-                amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-                amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
-
-    @njit(cache=True)
-    def apply_two_numba(amps, b1, b2, u):  # pragma: no cover - jitted
-        n = amps.shape[0]
-        s1 = 1 << b1
-        s2 = 1 << b2
-        for i in range(n):
-            if (i & s1) == 0 and (i & s2) == 0:
-                a = amps[i]
-                b = amps[i | s2]
-                c = amps[i | s1]
-                d = amps[i | s1 | s2]
-                amps[i] = u[0, 0] * a + u[0, 1] * b + u[0, 2] * c + u[0, 3] * d
-                amps[i | s2] = u[1, 0] * a + u[1, 1] * b + u[1, 2] * c + u[1, 3] * d
-                amps[i | s1] = u[2, 0] * a + u[2, 1] * b + u[2, 2] * c + u[2, 3] * d
-                amps[i | s1 | s2] = u[3, 0] * a + u[3, 1] * b + u[3, 2] * c + u[3, 3] * d
-
-    @njit(cache=True)
-    def apply_signs_numba(amps, signs):  # pragma: no cover - jitted
-        for i in range(amps.shape[0]):
-            amps[i] *= signs[i]
-
-
-def _choose_backend() -> str:
-    choice = os.environ.get("LCPLEARN_BACKEND", "auto").lower()
-    if choice not in ("auto", "numpy", "numba"):
-        raise ValueError(f"LCPLEARN_BACKEND must be auto, numpy or numba, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("LCPLEARN_BACKEND=numba but numba is not importable")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _choose_backend()
-
-if BACKEND == "numba":
-    apply_single = apply_single_numba
-    apply_two = apply_two_numba
-    apply_signs = apply_signs_numba
-else:
-    apply_single = apply_single_numpy
-    apply_two = apply_two_numpy
-    apply_signs = apply_signs_numpy
+# Read only by perfbench's provenance line and kernel calibration; drop
+# them together with those readers in the next change to the benchmark.
+BACKEND = "numpy"
+HAVE_NUMBA = False
+apply_single_numpy = apply_single
+apply_two_numpy = apply_two
+apply_signs_numpy = apply_signs

@@ -65,8 +65,6 @@ class NoiseProfile:
     readout_error: tuple
     single_qubit_error: tuple
     cx_default: float = 0.0
-    t1_us: tuple | None = None  # ingested but unused by the error model
-    t2_us: tuple | None = None
 
     def __post_init__(self):
         self.cx_error = {tuple(sorted(k)): float(v) for k, v in self.cx_error.items()}
@@ -96,8 +94,6 @@ class NoiseProfile:
             readout_error=tuple(clip(p * readout) for p in self.readout_error),
             single_qubit_error=tuple(clip(p * sq) for p in self.single_qubit_error),
             cx_default=clip(self.cx_default * cx),
-            t1_us=self.t1_us,
-            t2_us=self.t2_us,
         )
 
     @classmethod
@@ -120,8 +116,6 @@ class NoiseProfile:
             },
             readout_error=(3.81e-2, 4.11e-2, 7.17e-2, 3.41e-2, 3.62e-2),
             single_qubit_error=(3.23e-4, 2.90e-4, 2.74e-4, 3.44e-4, 4.57e-4),
-            t1_us=(79.19, 117.96, 95.79, 107.55, 92.27),
-            t2_us=(126.78, 132.4, 115.86, 22.83, 110.84),
         )
 
     @classmethod
@@ -141,8 +135,6 @@ class NoiseProfile:
             readout_error=tuple(data["readout_error"]),
             single_qubit_error=tuple(data.get("sq_error", [0.0] * len(data["readout_error"]))),
             cx_default=float(data.get("cx_default", 0.0)),
-            t1_us=tuple(data["t1_us"]) if "t1_us" in data else None,
-            t2_us=tuple(data["t2_us"]) if "t2_us" in data else None,
         )
 
     @classmethod
@@ -158,10 +150,6 @@ class NoiseProfile:
         }
         if self.cx_default:
             out["cx_default"] = self.cx_default
-        if self.t1_us is not None:
-            out["t1_us"] = list(self.t1_us)
-        if self.t2_us is not None:
-            out["t2_us"] = list(self.t2_us)
         return out
 
 

@@ -64,6 +64,12 @@ def r_operator() -> np.ndarray:
     return (np.ones((4, 4)) - 2.0 * np.eye(4)) / 2.0
 
 
+# Built once for the per-round applications; read-only, and already
+# complex so apply_unitary2 takes it without a copy.
+_R_COMPLEX = r_operator().astype(np.complex128)
+_R_COMPLEX.flags.writeable = False
+
+
 def q_value(i: int) -> int:
     """Threshold queried in round i: 0 before the first round, else 2i-1."""
     return 0 if i == 0 else 2 * i - 1
@@ -97,7 +103,7 @@ class RoundCircuit:
         for q in self.x_qubits:
             state.apply_gate(X(q))
         self.oracle.apply(state)
-        state.apply_unitary2(*self.r_qubits, r_operator())
+        state.apply_unitary2(*self.r_qubits, _R_COMPLEX)
 
 
 def build_round_circuit(i: int, layout: AlgorithmLayout, oracle: PhaseOracle) -> RoundCircuit:
@@ -184,7 +190,7 @@ def _traced_round(
     rc.oracle.apply(state)
     psi_phased = state.amps.copy()
 
-    state.apply_unitary2(*rc.r_qubits, r_operator())
+    state.apply_unitary2(*rc.r_qubits, _R_COMPLEX)
     psi_collapsed = state.amps.copy()
 
     idxs, cands = _candidate_indices(s, i, layout.t)
@@ -248,7 +254,7 @@ def _pair_round(rc: RoundCircuit, prefix: int, n: int) -> int:
     pair.apply_gate(H(1))
     pair.apply_gate(H(2))
     rc.oracle.apply_pair(pair, candidates, q_value(rc.index))
-    pair.apply_unitary2(1, 2, r_operator())
+    pair.apply_unitary2(1, 2, _R_COMPLEX)
     outcome = pair.dominant_outcome(tol=AMP_TOL)
     if outcome is None:
         raise RuntimeError(f"round {rc.index} did not collapse to a basis state; learner not exact")

@@ -312,6 +312,18 @@ def suite_noise() -> list[CheckResult]:
     )
 
     s = SecretString.from_string("00")
+    steps = []
+    for family in ("cx", "readout", "sq"):
+        exact = [exact_asp(s, base.scaled(**{family: scale})) for scale in (0.5, 1.0, 2.0)]
+        steps += [exact[0] - exact[1], exact[1] - exact[2]]
+    rows.append(
+        CheckResult(
+            "exact asp strictly decreasing in each error family",
+            min(steps) > 0.0,
+            f"smallest step {min(steps):.2e}",
+        )
+    )
+
     mono = True
     for family in ("cx", "readout", "sq"):
         means = []

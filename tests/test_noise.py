@@ -96,7 +96,6 @@ class TestNoiseProfile:
         profile = NoiseProfile.quito()
         assert profile.readout_error == (3.81e-2, 4.11e-2, 7.17e-2, 3.41e-2, 3.62e-2)
         assert profile.cx_for(1, 3) == profile.cx_for(3, 1) == 1.044e-2
-        assert profile.t1_us is not None  # ingested, unused by the model
 
     def test_published_averages(self):
         profile = NoiseProfile.quito_average()
@@ -115,6 +114,16 @@ class TestNoiseProfile:
         assert recovered.cx_error == profile.cx_error
         assert recovered.readout_error == profile.readout_error
         assert recovered.single_qubit_error == profile.single_qubit_error
+
+    def test_relaxation_times_in_a_document_are_ignored(self):
+        data = NoiseProfile.quito().to_dict()
+        with_times = dict(data, t1_us=[79.19, 117.96, 95.79, 107.55, 92.27], t2_us=[126.78] * 5)
+        assert NoiseProfile.from_dict(with_times) == NoiseProfile.from_dict(data)
+
+    def test_to_dict_emits_no_relaxation_times(self):
+        data = NoiseProfile.quito().to_dict()
+        assert "t1_us" not in data and "t2_us" not in data
+        assert not hasattr(NoiseProfile.quito(), "t1_us")
 
     def test_spec_document_shape(self):
         data = {
@@ -257,6 +266,14 @@ class TestExactAsp:
     def test_profile_too_small(self):
         with pytest.raises(ValueError):
             exact_distribution(bell_circuit(), NoiseProfile.zero(1))
+
+    @pytest.mark.parametrize("text", ["00", "000"])
+    @pytest.mark.parametrize("family", ["cx", "readout", "sq"])
+    def test_strictly_decreasing_in_each_error_family(self, text, family):
+        s = SecretString.from_string(text)
+        base = NoiseProfile.quito()
+        exact = [exact_asp(s, base.scaled(**{family: k})) for k in (0.5, 1.0, 2.0)]
+        assert exact[0] > exact[1] > exact[2]
 
 
 class TestEstimateAsp:

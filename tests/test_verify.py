@@ -30,6 +30,7 @@ def test_noise_suite_all_green():
     rows = suite_noise()
     assert rows and all(r.passed for r in rows)
     assert any("exact density matrix" in r.name for r in rows)
+    assert any(r.name == "exact asp strictly decreasing in each error family" for r in rows)
 
 
 def test_run_suites_respects_selection():
