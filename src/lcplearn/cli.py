@@ -191,8 +191,9 @@ def _cmd_asp(parser, args) -> int:
             parser.error(f"bad --noise {args.noise!r}: {exc}")
     try:
         report = estimate_asp(s, profile, trials=args.trials, shots=args.shots, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except ValueError as exc:  # --trials, --shots or --seed out of range
+        print(f"asp: {exc}", file=sys.stderr)
+        return 2
     _report(
         "asp",
         {"secret": str(s), "noise": args.noise, "trials": args.trials, "shots": args.shots, "seed": args.seed},

@@ -7,12 +7,16 @@ bit flips with its readout probability.  No decay or coherent errors
 are modeled, so hardware success probabilities are qualitative anchors
 only, not targets.
 
-Every shot draws the same fixed-length randomness stream from
-default_rng((*seed, shot)): one uniform per gate deciding whether its
-error fires, one per gate choosing the Pauli, one for the measurement,
-one per readout bit.  Scaling an error rate under a common seed
-therefore only grows the set of fired errors; the monotonicity checks
-rely on this common-random-numbers property.
+Every shot draws the same fixed-length randomness stream, by definition
+the first doubles of default_rng((*seed, shot)): one uniform per gate
+deciding whether its error fires, one per gate choosing the Pauli, one
+for the measurement, one per readout bit.  Scaling an error rate under a
+common seed therefore only grows the set of fired errors; the
+monotonicity checks rely on this common-random-numbers property.  The
+streams of a block of shots are computed in one vectorized pass that
+reproduces numpy's SeedSequence, PCG64 and Generator.random bit for bit
+(`_streams.fill_uniform`), so no generator is constructed per shot, and
+a shot index is one 32-bit seed word, which caps a call at 2^32 shots.
 
 The replay never runs a circuit per shot.  It caches the noiseless
 state after every gate once per call; a shot in which no error fired
@@ -20,10 +24,9 @@ samples the clean distribution.  A shot with errors is keyed by its
 fault pattern, the Pauli chosen at each fired gate: the first shot with
 a pattern resimulates it once from the cached state at its first fault,
 with the same float operations in the same order as a run from
-|0...0>, and later shots reuse that distribution.  Streams are drawn a
-block of shots at a time, and the fired gates, clean outcomes and
-readout flips of a block are found with array operations, so the
-histograms are bit-identical to a per-shot loop.
+|0...0>, and later shots reuse that distribution.  The fired gates,
+clean outcomes and readout flips of a block are found with array
+operations, so the histograms are bit-identical to a per-shot loop.
 
 `exact_distribution` and `exact_asp` evolve the density matrix through
 the same channels and give the value the Monte-Carlo estimates sample.
@@ -36,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
+from . import _streams, kernels
 from .circuit import Circuit, Gate, gate_matrix
 from .oracle import SecretString
 from .statevector import Statevector, check_dense_width, init_basis, simulate
@@ -53,10 +56,11 @@ _PAULIS = (
 # _PAULIS[a] on the control and _PAULIS[b] on the target
 _CX_ERRORS = tuple(np.kron(_PAULIS[c >> 2], _PAULIS[c & 3]) for c in range(1, 16))
 
-# Shots whose random streams are held at once.  Whole 8192-shot streams
-# would add about 7 MB to a replay's peak memory; 512 rows of a 5-qubit
-# quito circuit's stream take 0.25 MB and still amortize the array work.
-_BLOCK_SHOTS = 512
+# Shots whose random streams are computed at once.  The stream pass costs
+# a fixed number of numpy calls per draw whatever the row count, so rows
+# amortize it; 1024 rows of a quito circuit's 61-draw stream take 0.5 MB.
+# Whole 8192-shot streams would add several MB to a replay's peak memory.
+_BLOCK_SHOTS = 1024
 
 
 @dataclass
@@ -226,12 +230,19 @@ def _faulty_cdf(circuit: Circuit, prefixes: list[Statevector], faults: np.ndarra
 def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> dict[str, int]:
     """Shot histogram under stochastic Pauli injection and readout flips.
 
-    Shot k draws from default_rng((*seed, k)), so results do not depend
-    on how shots are batched or parallelized.  Keys are the outcomes
+    Shot k's stream is by definition the first doubles of
+    default_rng((*seed, k)), computed for a block of shots in one
+    vectorized pass, so results do not depend on how shots are batched.
+    `shots` may be at most 2^32, since a shot index is one 32-bit seed
+    word; seed elements must be non-negative.  Keys are the outcomes
     read, in ascending order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots > _streams.MAX_SHOTS:
+        raise ValueError(
+            f"shots must be <= 2**32 = {_streams.MAX_SHOTS}: a shot index is one 32-bit seed word"
+        )
     site_prob = _site_probabilities(circuit, profile)
     width = circuit.width
     base = _seed_tuple(seed)
@@ -250,8 +261,7 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     totals = np.zeros(1 << width, dtype=np.int64)
     for start in range(0, shots, len(streams)):
         block = streams[: min(len(streams), shots - start)]
-        for i, row in enumerate(block):
-            np.random.default_rng(base + (start + i,)).random(out=row)
+        _streams.fill_uniform(block, base, start)
         fire_u = block[:, :n_sites]
         pick_u = block[:, n_sites : 2 * n_sites]
         meas_u = block[:, 2 * n_sites]

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._streams import fill_uniform
 from .circuit import Circuit, Gate
 from .classical import min_external_path_length, verify_optimality
 from .noise import NoiseProfile, estimate_asp, exact_asp
@@ -333,6 +334,19 @@ def suite_noise() -> list[CheckResult]:
         if not (means[0] + 5e-3 >= means[1] >= means[2] - 5e-3):
             mono = False
     rows.append(CheckResult("asp monotone in each error family (3-point grids)", mono))
+
+    # the replay's vectorized streams against the installed numpy, whose
+    # SeedSequence, PCG64 and Generator.random define them
+    streams = fill_uniform(np.empty((64, 61)), (99, 0), 0)
+    same = all(
+        np.array_equal(row, np.random.default_rng((99, 0, k)).random(61))
+        for k, row in enumerate(streams)
+    )
+    rows.append(
+        CheckResult(
+            "shot streams equal numpy default_rng", same, f"64 shots x 61 draws, numpy {np.__version__}"
+        )
+    )
 
     a = estimate_asp(s, base, trials=5, shots=8192, seed=99)
     b = estimate_asp(s, base, trials=5, shots=8192, seed=99)

@@ -199,6 +199,21 @@ class TestAsp:
             "one classical query and has no quantum round to replay"
         ]
 
+    def test_more_than_two_to_the_32_shots_refused_in_one_line(self, capsys):
+        code = main(["asp", "--secret", "01", "--shots", "4294967297"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("asp: shots must be <= 2**32")
+        assert captured.err.count("\n") == 1
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code = main(["asp", "--secret", "01", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["asp: expected non-negative integer"]
+
     def test_malformed_noise_json(self, capsys, tmp_path):
         noise = tmp_path / "bad.json"
         noise.write_text("{\"cx_error\": {}}")

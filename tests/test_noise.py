@@ -17,7 +17,9 @@ from lcplearn import (
     run_noisy,
     simulate,
 )
-from lcplearn.noise import _seed_tuple, _transpiled, exact_distribution
+from lcplearn import noise
+from lcplearn._streams import MAX_SHOTS, fill_uniform
+from lcplearn.noise import _BLOCK_SHOTS, _seed_tuple, _transpiled, exact_distribution
 from lcplearn.transpile import CouplingGraph
 
 DEMO_SECRETS = ("00", "01", "10", "11", "000", "001", "010", "011", "100", "101", "110", "111")
@@ -218,9 +220,12 @@ class TestBitIdentity:
         expected = _reference_run_noisy(bell_circuit(), profile, 3000, seed=12)
         assert run_noisy(bell_circuit(), profile, 3000, seed=12) == expected
 
-    def test_shots_span_several_blocks(self):
-        from lcplearn.noise import _BLOCK_SHOTS
+    def test_multi_word_seed_matches_reference(self):
+        profile = NoiseProfile.uniform(2, cx=0.2, readout=0.05, sq=0.02)
+        expected = _reference_run_noisy(bell_circuit(), profile, 1500, seed=(2**40 + 5, 1))
+        assert run_noisy(bell_circuit(), profile, 1500, seed=(2**40 + 5, 1)) == expected
 
+    def test_shots_span_several_blocks(self):
         shots = 2 * _BLOCK_SHOTS + 7
         profile = NoiseProfile.uniform(2, cx=0.2, readout=0.05, sq=0.02)
         expected = _reference_run_noisy(bell_circuit(), profile, shots, seed=0)
@@ -232,6 +237,41 @@ class TestBitIdentity:
             SecretString.from_string("010"), NoiseProfile.quito(), trials=5, shots=2048, seed=7
         )
         assert report.per_trial == tuple(c / 2048 for c in (1763, 1745, 1752, 1758, 1745))
+
+
+class TestStreams:
+    """The vectorized stream pass against numpy's per-shot generators."""
+
+    @pytest.mark.parametrize("m", [1, 7, 61])
+    @pytest.mark.parametrize("shot", [0, 1, _BLOCK_SHOTS - 1, _BLOCK_SHOTS, 2**31, 2**32 - 1])
+    @pytest.mark.parametrize("base", [(0,), (3, 0), (2**31 - 1, 4), (2**40 + 5, 7), (1, 2, 3)])
+    def test_rows_equal_default_rng(self, base, shot, m):
+        rows = min(3, MAX_SHOTS - shot)
+        out = fill_uniform(np.empty((rows, m)), base, shot)
+        for i in range(rows):
+            assert np.array_equal(out[i], np.random.default_rng((*base, shot + i)).random(m))
+
+    def test_shot_index_past_32_bits_rejected(self):
+        with pytest.raises(ValueError):
+            fill_uniform(np.empty((2, 1)), (0,), MAX_SHOTS - 1)
+
+    def test_more_than_two_to_the_32_shots_rejected_before_any_work(self, monkeypatch):
+        def no_work(circuit):
+            raise AssertionError("simulated a circuit for a refused shot count")
+
+        monkeypatch.setattr(noise, "_clean_prefixes", no_work)
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            run_noisy(bell_circuit(), NoiseProfile.zero(2), MAX_SHOTS + 1)
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            estimate_asp(SecretString.from_string("01"), trials=1, shots=MAX_SHOTS + 1)
+
+    @pytest.mark.parametrize("seed", [-1, (3, -1), (-(2**40), 0)])
+    def test_negative_seed_element_rejected_as_numpy_does(self, seed):
+        base = _seed_tuple(seed)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.default_rng(base + (0,))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            run_noisy(bell_circuit(), NoiseProfile.zero(2), 10, seed=seed)
 
 
 class TestExactAsp:
