@@ -125,8 +125,8 @@ def _load_graph(parser, name: str) -> CouplingGraph:
         if name.endswith(".json"):
             return CouplingGraph.from_json(name)
         return CouplingGraph.named(name)
-    except (OSError, KeyError, ValueError) as exc:
-        parser.error(f"bad --target {name!r}: {exc}")
+    except (OSError, ValueError) as exc:
+        parser.exit(2, f"transpile: bad --target {name!r}: {exc}\n")
 
 
 def _cmd_transpile(parser, args) -> int:
@@ -187,8 +187,8 @@ def _cmd_asp(parser, args) -> int:
     else:
         try:
             profile = NoiseProfile.from_json(args.noise)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"bad --noise {args.noise!r}: {exc}")
+        except (OSError, ValueError) as exc:
+            parser.exit(2, f"asp: bad --noise {args.noise!r}: {exc}\n")
     try:
         report = estimate_asp(s, profile, trials=args.trials, shots=args.shots, seed=args.seed)
     except ValueError as exc:  # --trials, --shots or --seed out of range

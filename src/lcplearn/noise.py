@@ -21,12 +21,17 @@ a shot index is one 32-bit seed word, which caps a call at 2^32 shots.
 The replay never runs a circuit per shot.  It caches the noiseless
 state after every gate once per call; a shot in which no error fired
 samples the clean distribution.  A shot with errors is keyed by its
-fault pattern, the Pauli chosen at each fired gate: the first shot with
-a pattern resimulates it once from the cached state at its first fault,
-with the same float operations in the same order as a run from
-|0...0>, and later shots reuse that distribution.  The fired gates,
-clean outcomes and readout flips of a block are found with array
-operations, so the histograms are bit-identical to a per-shot loop.
+fault pattern, the Pauli chosen at each fired gate, and each pattern is
+resimulated once per call.  The patterns first seen in a block are
+resimulated together as one (patterns, 2^width) state array, sorted by
+first fault: a row is loaded with the cached state at its first fault,
+each gate is one kernel call on the rows loaded before it, and the rows
+that fault at a gate are gathered by Pauli choice, hit and scattered
+back.  Every amplitude sees the same float operations in the same order
+as a run of its pattern from |0...0>, and later shots reuse the
+pattern's distribution.  The fired gates, clean and faulty outcomes and
+readout flips of a block are found with array operations, so the
+histograms are bit-identical to a per-shot loop.
 
 `exact_distribution` and `exact_asp` evolve the density matrix through
 the same channels and give the value the Monte-Carlo estimates sample.
@@ -34,13 +39,14 @@ the same channels and give the value the Monte-Carlo estimates sample.
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _streams, kernels
-from .circuit import Circuit, Gate, gate_matrix
+from .circuit import Circuit, gate_matrix
 from .oracle import SecretString
 from .statevector import Statevector, check_dense_width, init_basis, simulate
 from .synth import build_full_circuit
@@ -62,6 +68,24 @@ _CX_ERRORS = tuple(np.kron(_PAULIS[c >> 2], _PAULIS[c & 3]) for c in range(1, 16
 # Whole 8192-shot streams would add several MB to a replay's peak memory.
 _BLOCK_SHOTS = 1024
 
+# Amplitudes resimulated at once: a block's new fault patterns are split
+# into chunks of at most this many amplitudes (and at least one row), so a
+# wide circuit cannot allocate without bound.  A 1024-row block of a
+# quito circuit (32 amplitudes a row) is never split.
+_BATCH_AMPLITUDES = 1 << 16
+
+
+def _number(field: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _numbers(field: str, value) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list of numbers, got {type(value).__name__}")
+    return tuple(_number(f"{field}[{i}]", v) for i, v in enumerate(value))
+
 
 @dataclass
 class NoiseProfile:
@@ -74,6 +98,11 @@ class NoiseProfile:
         self.cx_error = {tuple(sorted(k)): float(v) for k, v in self.cx_error.items()}
         self.readout_error = tuple(float(p) for p in self.readout_error)
         self.single_qubit_error = tuple(float(p) for p in self.single_qubit_error)
+        if len(self.single_qubit_error) != len(self.readout_error):
+            raise ValueError(
+                f"{len(self.single_qubit_error)} single-qubit error rates for "
+                f"{len(self.readout_error)} qubits"
+            )
         for p in (
             *self.cx_error.values(),
             self.cx_default,
@@ -130,15 +159,29 @@ class NoiseProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseProfile":
+        """Load the document `to_dict` writes; raise ValueError for anything
+        but a JSON object whose fields have the right types."""
+        if not isinstance(data, dict):
+            raise ValueError(f"noise profile must be a JSON object, got {type(data).__name__}")
+        cx_error = data.get("cx_error", {})
+        if not isinstance(cx_error, dict):
+            raise ValueError(f"cx_error must be an object, got {type(cx_error).__name__}")
         cx = {}
-        for key, value in data.get("cx_error", {}).items():
-            a, b = key.split("-")
-            cx[(int(a), int(b))] = float(value)
+        for key, value in cx_error.items():
+            try:
+                a, b = key.split("-")
+                pair = (int(a), int(b))
+            except ValueError:
+                raise ValueError(f"cx_error key {key!r} is not 'a-b'") from None
+            cx[pair] = _number(f"cx_error[{key!r}]", value)
+        if "readout_error" not in data:
+            raise ValueError("missing field 'readout_error'")
+        readout = _numbers("readout_error", data["readout_error"])
         return cls(
             cx_error=cx,
-            readout_error=tuple(data["readout_error"]),
-            single_qubit_error=tuple(data.get("sq_error", [0.0] * len(data["readout_error"]))),
-            cx_default=float(data.get("cx_default", 0.0)),
+            readout_error=readout,
+            single_qubit_error=_numbers("sq_error", data.get("sq_error", [0.0] * len(readout))),
+            cx_default=_number("cx_default", data.get("cx_default", 0.0)),
         )
 
     @classmethod
@@ -190,41 +233,70 @@ def _cdf(state: Statevector) -> np.ndarray:
 
 def _clean_prefixes(circuit: Circuit) -> list[Statevector]:
     """prefixes[k] is the noiseless state after the first k gates."""
-    prefixes = [simulate(Circuit(circuit.width))]
+    prefixes = [init_basis(circuit.width, 0)]
     for gate in circuit.gates:
         prefixes.append(simulate(Circuit(circuit.width, (gate,)), prefixes[-1]))
     return prefixes
 
 
-def _apply_fault(state: Statevector, gate: Gate, choice: int) -> None:
-    """Pauli `choice` after `gate`: 1..15 indexes the CX pair (control, target)
-    as divmod(choice, 4), 1..3 is X, Y, Z on a single-qubit gate."""
-    if gate.kind == "cx":
-        p1, p2 = divmod(choice, 4)
-        if p1:
-            state.apply_unitary1(gate.qubits[0], _PAULIS[p1])
-        if p2:
-            state.apply_unitary1(gate.qubits[1], _PAULIS[p2])
+def _apply(flat: np.ndarray, width: int, qubits: tuple, u: np.ndarray) -> None:
+    """Apply the 2x2 or 4x4 unitary `u` on `qubits` to every row of a
+    flattened (rows, 2^width) state array, in place."""
+    if len(qubits) == 1:
+        kernels.apply_single(flat, width - qubits[0], u)
     else:
-        state.apply_unitary1(gate.qubits[0], _PAULIS[choice])
+        kernels.apply_two(flat, width - qubits[0], width - qubits[1], u)
 
 
-def _faulty_cdf(circuit: Circuit, prefixes: list[Statevector], faults: np.ndarray) -> np.ndarray:
-    """Outcome CDF of the fault pattern `faults`: Pauli choice faults[k]
-    after gate k, 0 where no error fired.
+def _faulty_cdfs(circuit: Circuit, prefixes: list[Statevector], patterns: np.ndarray) -> np.ndarray:
+    """Outcome CDFs of the fault patterns `patterns`, one per row: Pauli
+    choice patterns[i, k] after gate k, 0 where no error fired.  Each row
+    has at least one fault.  Choices 1..15 at a CX index the pair
+    (control, target) as divmod(choice, 4), 1..3 X, Y, Z at a
+    single-qubit gate.
 
-    Starts from the cached clean state at the first fault and applies the
-    same gate-by-gate float operations as a run from |0...0> would.
+    All rows are resimulated together as one (rows, 2^width) array,
+    sorted by first fault, so that the rows loaded before gate k are a
+    leading slice and gate k is one kernel call on it.  A row is loaded
+    with the cached clean state at its first fault; each amplitude sees
+    the same float operations as a run of its pattern from |0...0>.
     """
-    first = int(np.flatnonzero(faults)[0])
-    state = init_basis(circuit.width, 0)
-    state.amps[:] = prefixes[first + 1].amps
-    _apply_fault(state, circuit.gates[first], int(faults[first]))
-    for k in range(first + 1, len(circuit.gates)):
-        state.apply_gate(circuit.gates[k])
-        if faults[k]:
-            _apply_fault(state, circuit.gates[k], int(faults[k]))
-    return _cdf(state)
+    width = circuit.width
+    rows = max(1, _BATCH_AMPLITUDES >> width)
+    if len(patterns) > rows:
+        return np.concatenate(
+            [_faulty_cdfs(circuit, prefixes, patterns[i : i + rows]) for i in range(0, len(patterns), rows)]
+        )
+    firsts = (patterns != 0).argmax(axis=1).tolist()
+    order = sorted(range(len(patterns)), key=firsts.__getitem__)
+    firsts = [firsts[i] for i in order]
+    faults = patterns[order]
+    states = np.empty((len(patterns), 1 << width), dtype=np.complex128)
+    loaded = 0
+    for k in range(firsts[0], len(circuit.gates)):
+        qubits = circuit.gates[k].qubits
+        if loaded:
+            u = np.asarray(gate_matrix(circuit.gates[k]), dtype=np.complex128)
+            _apply(states[:loaded].reshape(-1), width, qubits, u)
+        end = bisect_right(firsts, k)
+        states[loaded:end] = prefixes[k + 1].amps
+        loaded = end
+        column = faults[:loaded, k]
+        for choice in set(column.tolist()) - {0}:
+            at = np.flatnonzero(column == choice)
+            group = states[at]
+            flat = group.reshape(-1)
+            control, target = divmod(choice, 4) if len(qubits) == 2 else (choice, 0)
+            if control:
+                _apply(flat, width, qubits[:1], _PAULIS[control])
+            if target:
+                _apply(flat, width, qubits[1:], _PAULIS[target])
+            states[at] = group
+    cums = np.cumsum(np.abs(states) ** 2, axis=1)
+    cums[:, -1] = 1.0
+    out = np.empty_like(cums)
+    out[order] = cums
+    return out
 
 
 def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> dict[str, int]:
@@ -236,6 +308,11 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     `shots` may be at most 2^32, since a shot index is one 32-bit seed
     word; seed elements must be non-negative.  Keys are the outcomes
     read, in ascending order.
+
+    Each block resimulates the fault patterns it sees for the first time
+    in one batched pass (`_faulty_cdfs`) and memoises their CDFs for the
+    rest of the call; a shot samples its pattern's CDF, or the clean one
+    when nothing fired.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -269,12 +346,18 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
 
         faults = np.where(fire_u < site_prob, (pick_u * pauli_count).astype(np.uint8) + 1, 0)
         outcomes = np.searchsorted(clean_cum, meas_u, side="right")
-        for i in np.flatnonzero(faults.any(axis=1)):
-            key = faults[i].tobytes()
-            cum = faulty_cums.get(key)
-            if cum is None:
-                cum = faulty_cums[key] = _faulty_cdf(circuit, prefixes, faults[i])
-            outcomes[i] = np.searchsorted(cum, meas_u[i], side="right")
+        fired = np.flatnonzero(faults.any(axis=1))
+        if len(fired):
+            keys = [faults[i].tobytes() for i in fired]
+            # one row per pattern not yet memoised; equal keys are equal rows
+            new = {key: i for i, key in zip(fired.tolist(), keys) if key not in faulty_cums}
+            if new:
+                cdfs = _faulty_cdfs(circuit, prefixes, faults[list(new.values())])
+                faulty_cums.update(zip(new, cdfs))
+            # searchsorted(side="right") on each row: a CDF is
+            # non-decreasing and ends at 1.0, above every draw
+            table = np.array([faulty_cums[key] for key in keys])
+            outcomes[fired] = (table <= meas_u[fired, None]).sum(axis=1)
         outcomes ^= (read_u < readout) @ bit_value
         totals += np.bincount(outcomes, minlength=1 << width)
     return {format(b, f"0{width}b"): int(c) for b, c in enumerate(totals) if c}

@@ -27,6 +27,10 @@ MAX_SWEEPS = 50
 AUTO_MAP_LIMIT = 5  # exhaustive mapping search bound
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CouplingGraph:
     num_qubits: int
@@ -101,7 +105,18 @@ class CouplingGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CouplingGraph":
-        return cls(int(data["qubits"]), frozenset(tuple(e) for e in data["edges"]))
+        """Load {"qubits": n, "edges": [[a, b], ...]}; raise ValueError for
+        anything but a JSON object whose fields have the right types."""
+        if not isinstance(data, dict):
+            raise ValueError(f"coupling graph must be a JSON object, got {type(data).__name__}")
+        qubits, edges = data.get("qubits"), data.get("edges")
+        if not _is_int(qubits) or qubits < 1:
+            raise ValueError(f"qubits must be a positive integer, got {qubits!r}")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+        ):
+            raise ValueError("edges must be a list of [a, b] integer pairs")
+        return cls(qubits, frozenset(tuple(e) for e in edges))
 
     @classmethod
     def from_json(cls, path: str) -> "CouplingGraph":

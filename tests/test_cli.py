@@ -124,6 +124,21 @@ class TestTranspile:
             main(["transpile", "--in", str(circuit_file), "--target", "nope"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "document",
+        ["[3]", '{"qubits": 3, "edges": [5]}'],
+        ids=["not-an-object", "edge-not-a-pair"],
+    )
+    def test_malformed_target_json_is_refused_in_one_line(self, capsys, circuit_file, tmp_path, document):
+        graph = tmp_path / "graph.json"
+        graph.write_text(document)
+        with pytest.raises(SystemExit) as err:
+            main(["transpile", "--in", str(circuit_file), "--target", str(graph)])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("transpile: bad --target") and captured.err.count("\n") == 1
+
     def test_malformed_circuit_file(self, capsys, tmp_path):
         broken = tmp_path / "broken.qasm"
         broken.write_text("OPENQASM 2.0;\nnot a circuit\n")
@@ -220,6 +235,26 @@ class TestAsp:
         with pytest.raises(SystemExit) as err:
             main(["asp", "--secret", "11", "--noise", str(noise)])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "[1, 2]",
+            '{"readout_error": 5}',
+            '{"cx_error": {"0-1": null}, "readout_error": [0.04, 0.04, 0.07, 0.03, 0.04]}',
+            '{"readout_error": [0.04, 0.04, 0.07, 0.03, 0.04], "sq_error": [0.001]}',
+        ],
+        ids=["not-an-object", "readout-not-a-list", "null-cx-probability", "sq-shorter-than-readout"],
+    )
+    def test_malformed_noise_json_is_refused_in_one_line(self, capsys, tmp_path, document):
+        noise = tmp_path / "bad.json"
+        noise.write_text(document)
+        with pytest.raises(SystemExit) as err:
+            main(["asp", "--secret", "11", "--noise", str(noise), "--shots", "16"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("asp: bad --noise") and captured.err.count("\n") == 1
 
 
 class TestVerify:

@@ -88,6 +88,35 @@ def _reference_run_noisy(circuit, profile, shots, seed=0):
     return counts
 
 
+def _reference_faulty_cdf(circuit, prefixes, faults):
+    """One fault pattern resimulated on its own: load the cached clean
+    state at the first fault, then gate by gate, each fired gate followed
+    by its Pauli(s), control before target.  `_faulty_cdfs` must match it
+    row for row, bit for bit."""
+
+    def apply_fault(state, gate, choice):
+        if gate.kind == "cx":
+            p1, p2 = divmod(choice, 4)
+            if p1:
+                state.apply_unitary1(gate.qubits[0], _REF_PAULIS[p1])
+            if p2:
+                state.apply_unitary1(gate.qubits[1], _REF_PAULIS[p2])
+        else:
+            state.apply_unitary1(gate.qubits[0], _REF_PAULIS[choice])
+
+    first = int(np.flatnonzero(faults)[0])
+    state = init_basis(circuit.width, 0)
+    state.amps[:] = prefixes[first + 1].amps
+    apply_fault(state, circuit.gates[first], int(faults[first]))
+    for k in range(first + 1, len(circuit.gates)):
+        state.apply_gate(circuit.gates[k])
+        if faults[k]:
+            apply_fault(state, circuit.gates[k], int(faults[k]))
+    cum = np.cumsum(state.probabilities())
+    cum[-1] = 1.0
+    return cum
+
+
 class TestNoiseProfile:
     def test_zero_profile(self):
         profile = NoiseProfile.zero(3)
@@ -135,6 +164,27 @@ class TestNoiseProfile:
         }
         profile = NoiseProfile.from_dict(data)
         assert profile.cx_for(0, 1) == 0.007401
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            {"readout_error": 5},
+            {"readout_error": [0.1, None]},
+            {"readout_error": [0.1, True]},
+            {"cx_error": {"0-1": None}, "readout_error": [0.1, 0.1]},
+            {"cx_error": {"0-1": "0.1"}, "readout_error": [0.1, 0.1]},
+            {"cx_error": {"01": 0.1}, "readout_error": [0.1, 0.1]},
+            {"cx_error": [[0, 1]], "readout_error": [0.1, 0.1]},
+            {"readout_error": [0.1, 0.1], "sq_error": 0.1},
+            {"readout_error": [0.1, 0.1], "sq_error": [0.1]},
+            {"readout_error": [0.1, 0.1], "cx_default": None},
+            {"cx_error": {}},
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, data):
+        with pytest.raises(ValueError):
+            NoiseProfile.from_dict(data)
 
     def test_probability_range_validated(self):
         with pytest.raises(ValueError):
@@ -239,6 +289,95 @@ class TestBitIdentity:
         assert report.per_trial == tuple(c / 2048 for c in (1763, 1745, 1752, 1758, 1745))
 
 
+class TestBatchedReplay:
+    """`_faulty_cdfs` resimulates many fault patterns as one state array."""
+
+    @pytest.fixture(scope="class")
+    def task(self):
+        circuit, _ = _transpiled("000", CouplingGraph.quito())
+        return circuit, noise._clean_prefixes(circuit)
+
+    @staticmethod
+    def _assert_rows_match(task, patterns):
+        circuit, prefixes = task
+        patterns = np.array(patterns, dtype=np.uint8)
+        batched = noise._faulty_cdfs(circuit, prefixes, patterns)
+        assert batched.shape == (len(patterns), 1 << circuit.width)
+        for row, faults in zip(batched, patterns):
+            assert np.array_equal(row, _reference_faulty_cdf(circuit, prefixes, faults))
+
+    @staticmethod
+    def _pattern(circuit, faults):
+        row = [0] * len(circuit.gates)
+        for k, choice in faults.items():
+            row[k] = choice
+        return row
+
+    @staticmethod
+    def _choices(gate):
+        return range(1, 16 if gate.kind == "cx" else 4)
+
+    def test_fault_only_at_gate_zero(self, task):
+        circuit, _ = task
+        self._assert_rows_match(task, [self._pattern(circuit, {0: c}) for c in (1, 2, 3)])
+
+    def test_fault_only_at_last_gate(self, task):
+        """Rows loaded at the final step get no further gate."""
+        circuit, _ = task
+        last = len(circuit.gates) - 1
+        rows = [self._pattern(circuit, {last: c}) for c in self._choices(circuit.gates[last])]
+        self._assert_rows_match(task, rows)
+
+    def test_fault_at_every_gate(self, task):
+        circuit, _ = task
+        row = [k % len(self._choices(g)) + 1 for k, g in enumerate(circuit.gates)]
+        self._assert_rows_match(task, [row])
+
+    def test_rows_sharing_a_first_fault_with_different_choices(self, task):
+        circuit, _ = task
+        cx = [k for k, g in enumerate(circuit.gates) if g.kind == "cx"]
+        first, later = cx[0], cx[3]
+        rows = [
+            self._pattern(circuit, {first: 5}),
+            self._pattern(circuit, {first: 6}),
+            self._pattern(circuit, {first: 5, later: 1}),
+            self._pattern(circuit, {first: 5, later: 15}),
+            self._pattern(circuit, {first: 12, later: 15}),
+        ]
+        self._assert_rows_match(task, rows)
+
+    def test_every_choice_at_one_gate(self, task):
+        circuit, _ = task
+        cx = next(k for k, g in enumerate(circuit.gates) if g.kind == "cx")
+        sq = next(k for k, g in enumerate(circuit.gates) if g.kind != "cx" and k > cx)
+        self._assert_rows_match(task, [self._pattern(circuit, {cx: c}) for c in range(1, 16)])
+        self._assert_rows_match(task, [self._pattern(circuit, {sq: c}) for c in range(1, 4)])
+
+    def test_mixed_batch_comes_back_in_input_order(self, task):
+        """Unsorted first faults, shared prefixes and lone rows in one call."""
+        circuit, _ = task
+        last = len(circuit.gates) - 1
+        cx = [k for k, g in enumerate(circuit.gates) if g.kind == "cx"]
+        rows = [
+            self._pattern(circuit, {last: 2}),
+            self._pattern(circuit, {cx[2]: 7, cx[5]: 3}),
+            self._pattern(circuit, {0: 1}),
+            self._pattern(circuit, {cx[2]: 7}),
+            [k % len(self._choices(g)) + 1 for k, g in enumerate(circuit.gates)],
+            self._pattern(circuit, {0: 3, last: 1}),
+        ]
+        self._assert_rows_match(task, rows)
+
+    @pytest.mark.parametrize("amplitudes", [32, 96])
+    def test_small_batches_match_reference(self, monkeypatch, amplitudes):
+        """1 and 3 rows per chunk at width 5."""
+        monkeypatch.setattr(noise, "_BATCH_AMPLITUDES", amplitudes)
+        circuit, _ = _transpiled("010", CouplingGraph.quito())
+        profile = NoiseProfile.quito().scaled(cx=5, sq=50)
+        expected = _reference_run_noisy(circuit, profile, 2048, seed=(3, 1))
+        assert run_noisy(circuit, profile, 2048, seed=(3, 1)) == expected
+
+
 class TestStreams:
     """The vectorized stream pass against numpy's per-shot generators."""
 
@@ -306,6 +445,15 @@ class TestExactAsp:
     def test_profile_too_small(self):
         with pytest.raises(ValueError):
             exact_distribution(bell_circuit(), NoiseProfile.zero(1))
+
+    @pytest.mark.parametrize("n, expected", [(2, 0.8664), (3, 0.8559)])
+    def test_quito_asp_depends_only_on_secret_length(self, n, expected):
+        """The modelled value of claim (iii) that README sets next to the
+        paper's device figures (85.3 % for n = 2, 82.5 % for n = 3)."""
+        profile = NoiseProfile.quito()
+        values = [exact_asp(SecretString.from_string(t), profile) for t in DEMO_SECRETS if len(t) == n]
+        assert max(values) - min(values) <= 1e-12
+        assert {round(v, 4) for v in values} == {expected}
 
     @pytest.mark.parametrize("text", ["00", "000"])
     @pytest.mark.parametrize("family", ["cx", "readout", "sq"])

@@ -67,6 +67,23 @@ class TestCouplingGraph:
         path.write_text(json.dumps({"qubits": 5, "edges": [[0, 1], [1, 2], [1, 3], [3, 4]]}))
         assert CouplingGraph.from_json(str(path)) == QUITO
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [3],
+            {"qubits": 3, "edges": [5]},
+            {"qubits": "3", "edges": []},
+            {"qubits": True, "edges": []},
+            {"qubits": 0, "edges": []},
+            {"qubits": 3, "edges": [[0, 1, 2]]},
+            {"qubits": 3, "edges": [[0, 1.0]]},
+            {"edges": [[0, 1]]},
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, data):
+        with pytest.raises(ValueError):
+            CouplingGraph.from_dict(data)
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
