@@ -8,7 +8,6 @@ entries each, which PhaseOracle.apply_pair evaluates without the
 diagonal.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,20 +61,17 @@ class Query:
 
 
 class QueryLedger:
-    """Per-session query counters with atomic increments."""
+    """Counts of classical queries and quantum oracle uses for one learner run."""
 
     def __init__(self):
         self.classical_queries = 0
         self.quantum_oracle_uses = 0
-        self._lock = threading.Lock()
 
     def count_classical(self) -> None:
-        with self._lock:
-            self.classical_queries += 1
+        self.classical_queries += 1
 
     def count_quantum(self) -> None:
-        with self._lock:
-            self.quantum_oracle_uses += 1
+        self.quantum_oracle_uses += 1
 
     @property
     def total(self) -> int:

@@ -86,19 +86,6 @@ class Statevector:
         kernels.apply_signs(self.amps, signs)
         return self
 
-    def measure_all(self, shots: int, seed: int | None = None) -> dict[str, int]:
-        """Sample `shots` bitstrings from |amplitude|^2 (MSB-first strings)."""
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        probs = self.probabilities()
-        probs = probs / probs.sum()
-        rng = np.random.default_rng(seed)
-        counts = rng.multinomial(shots, probs)
-        m = self.num_qubits
-        return {
-            format(idx, f"0{m}b"): int(c) for idx, c in enumerate(counts) if c > 0
-        }
-
     def dominant_outcome(self, tol: float = NORM_TOL) -> str | None:
         """The single outcome when one probability exceeds 1 - tol, else None."""
         probs = self.probabilities()

@@ -24,7 +24,7 @@ ZERO_ANGLE_TOL = 1e-12
 
 MAX_SWEEPS = 50
 
-AUTO_MAP_LIMIT = 5  # exhaustive mapping search bound
+AUTO_MAP_LIMIT = 2520  # candidate mappings an exhaustive search may compile: P(7, 5)
 
 
 def _is_int(value) -> bool:
@@ -147,20 +147,20 @@ class QubitMapping:
         return cls(tuple(range(width)))
 
 
-def _route_gates(control: int, target: int, graph: CouplingGraph, variant: int) -> list[Gate]:
-    """CX between physical `control` and `target` using only coupled CNOTs.
+def _route_gates(path: list[int], variant: int) -> list[Gate]:
+    """CX from physical `path[0]` to `path[-1]` along a shortest path,
+    using only coupled CNOTs.
 
     Distance 2 uses the four-CNOT identity through the midpoint; longer
-    distances recurse along a shortest path.  The two expansion orders
+    distances recurse on the rest of the path.  The two expansion orders
     are equivalent; alternating them across repeat occurrences exposes
     pair cancellations to the optimizer.
     """
-    path = graph.shortest_path(control, target)
+    control, mid, target = path[0], path[1], path[-1]
     if len(path) == 2:
         return [CX(control + 1, target + 1)]
-    mid = path[1]
     hop = CX(control + 1, mid + 1)
-    rest = _route_gates(mid, target, graph, 0)
+    rest = _route_gates(path[1:], 0)
     if variant == 0:
         return [hop] + rest + [hop] + rest
     return rest + [hop] + rest + [hop]
@@ -170,7 +170,7 @@ def route_cnot(control: int, target: int, graph: CouplingGraph) -> Circuit:
     """Coupling-legal realization of CX(control, target), as a fragment."""
     if control == target:
         raise ValueError("control and target must differ")
-    return Circuit(graph.num_qubits, _route_gates(control, target, graph, 0))
+    return Circuit(graph.num_qubits, _route_gates(graph.shortest_path(control, target), 0))
 
 
 def rewrite_to_device(circuit: Circuit) -> Circuit:
@@ -349,10 +349,6 @@ class StageRecord:
     def of(cls, name: str, circuit: Circuit) -> "StageRecord":
         return cls(name, circuit.gate_counts(), circuit.depth())
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 @dataclass
 class PassReport:
@@ -386,23 +382,22 @@ class PassReport:
         }
 
 
-def optimize(circuit: Circuit, max_sweeps: int = MAX_SWEEPS) -> tuple[Circuit, PassReport]:
-    """Fixed-point peephole pass; gate count never increases."""
+def optimize(circuit: Circuit) -> tuple[Circuit, PassReport]:
+    """Fixed-point peephole pass; gate count never increases.
+
+    The report carries only the sweep count; its `stages` is empty.
+    """
     gates = list(circuit.gates)
-    report = PassReport(stages=[StageRecord.of("input", circuit)])
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         changed = _cancel_cx(gates)
         changed |= _merge_rz(gates)
         changed |= _canonicalize_runs(gates)
         if not changed:
-            report.sweeps = sweep
             break
     else:
-        raise RuntimeError(f"peephole pass did not converge in {max_sweeps} sweeps")
+        raise RuntimeError(f"peephole pass did not converge in {MAX_SWEEPS} sweeps")
     gates = [RZ(_norm_angle(g.theta), g.qubits[0]) if g.kind == "rz" else g for g in gates]
-    out = Circuit(circuit.width, gates)
-    report.stages.append(StageRecord.of("optimize", out))
-    return out, report
+    return Circuit(circuit.width, gates), PassReport(sweeps=sweep)
 
 
 def check_legal(circuit: Circuit, graph: CouplingGraph) -> tuple[bool, bool]:
@@ -429,30 +424,26 @@ def _route_pass(circuit: Circuit, graph: CouplingGraph) -> Circuit:
             continue
         seen = occurrence.get((a, b), 0)
         occurrence[(a, b)] = seen + 1
-        gates.extend(_route_gates(a, b, graph, seen % 2))
+        gates.extend(_route_gates(graph.shortest_path(a, b), seen % 2))
     return Circuit(circuit.width, gates)
 
 
-def _compile_with_mapping(
-    circuit: Circuit, graph: CouplingGraph, mapping: QubitMapping, opt: bool
-) -> tuple[Circuit, PassReport]:
-    report = PassReport(stages=[StageRecord.of("input", circuit)], mapping=mapping.physical)
-    mapped = circuit.remap(
-        {l: mapping[l] + 1 for l in range(1, circuit.width + 1)}, graph.num_qubits
-    )
-    report.stages.append(StageRecord.of("map", mapped))
+def _stages(circuit: Circuit, graph: CouplingGraph, mapping: QubitMapping, opt: bool):
+    """The (name, circuit) after each pass, and the optimizer's sweep count."""
+    mapped = circuit.remap({l: mapping[l] + 1 for l in range(1, circuit.width + 1)}, graph.num_qubits)
     routed = _route_pass(mapped, graph)
-    report.stages.append(StageRecord.of("route", routed))
     rewritten = rewrite_to_device(routed)
-    report.stages.append(StageRecord.of("rewrite", rewritten))
-    if opt:
-        final, opt_report = optimize(rewritten)
-        report.sweeps = opt_report.sweeps
-        report.stages.append(StageRecord.of("optimize", final))
-    else:
-        final = rewritten
-    report.legal_gate_set, report.legal_coupling = check_legal(final, graph)
-    return final, report
+    stages = [("input", circuit), ("map", mapped), ("route", routed), ("rewrite", rewritten)]
+    if not opt:
+        return stages, None
+    final, opt_report = optimize(rewritten)
+    return stages + [("optimize", final)], opt_report.sweeps
+
+
+def _report(stages, sweeps, mapping: QubitMapping, graph: CouplingGraph) -> tuple[Circuit, PassReport]:
+    final = stages[-1][1]
+    records = [StageRecord.of(name, c) for name, c in stages]
+    return final, PassReport(records, mapping.physical, *check_legal(final, graph), sweeps)
 
 
 def transpile(
@@ -463,9 +454,10 @@ def transpile(
 ) -> tuple[Circuit, PassReport]:
     """Map, route, rewrite and optimize a circuit onto the device.
 
-    With no mapping given, all injective assignments are tried (width
-    <= 5) and the one with the lowest final CX count wins; ties break by
-    depth, then lexicographically.
+    With no mapping given, every injective assignment is compiled (at
+    most AUTO_MAP_LIMIT of them) and the one with the lowest final CX
+    count wins; ties break by depth, then lexicographically.  Stage
+    records are built for the winner only.
     """
     if circuit.width > graph.num_qubits:
         raise ValueError(
@@ -476,16 +468,20 @@ def transpile(
             raise ValueError("mapping width does not match circuit width")
         if any(p >= graph.num_qubits for p in mapping.physical):
             raise ValueError("mapping targets nonexistent physical qubits")
-        return _compile_with_mapping(circuit, graph, mapping, opt)
-    if circuit.width > AUTO_MAP_LIMIT:
+        return _report(*_stages(circuit, graph, mapping, opt), mapping, graph)
+    tries = math.perm(graph.num_qubits, circuit.width)
+    if tries > AUTO_MAP_LIMIT:
         raise ValueError(
-            f"auto-mapping is exhaustive and limited to width {AUTO_MAP_LIMIT}; "
-            "pass an explicit mapping"
+            f"auto-mapping would compile {tries} mappings, over the limit of "
+            f"{AUTO_MAP_LIMIT}; pass an explicit mapping"
         )
-    best = None
-    for phys in itertools.permutations(range(graph.num_qubits), circuit.width):
-        candidate = _compile_with_mapping(circuit, graph, QubitMapping(phys), opt)
-        key = (candidate[1].final_counts["cx"], candidate[1].final_depth, phys)
-        if best is None or key < best[0]:
-            best = (key, candidate)
-    return best[1]
+
+    def score(candidate):
+        mapping, (stages, _) = candidate
+        final = stages[-1][1]
+        return final.gate_counts()["cx"], final.depth(), mapping.physical
+
+    perms = itertools.permutations(range(graph.num_qubits), circuit.width)
+    candidates = ((m, _stages(circuit, graph, m, opt)) for m in map(QubitMapping, perms))
+    best, (stages, sweeps) = min(candidates, key=score)
+    return _report(stages, sweeps, best, graph)

@@ -139,6 +139,19 @@ class TestTranspile:
         assert captured.out == ""
         assert captured.err.startswith("transpile: bad --target") and captured.err.count("\n") == 1
 
+    def test_auto_map_over_the_search_limit_is_usage_error(self, capsys, tmp_path):
+        circuit = tmp_path / "in.qasm"
+        main(["synth", "--secret", "000", "--out", str(circuit)])
+        graph = tmp_path / "line27.json"
+        graph.write_text(json.dumps({"qubits": 27, "edges": [[i, i + 1] for i in range(26)]}))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["transpile", "--in", str(circuit), "--target", str(graph)])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "explicit mapping" in captured.err
+
     def test_malformed_circuit_file(self, capsys, tmp_path):
         broken = tmp_path / "broken.qasm"
         broken.write_text("OPENQASM 2.0;\nnot a circuit\n")

@@ -105,26 +105,6 @@ class TestPhaseDiagonal:
 
 
 class TestMeasure:
-    def test_basis_state_measures_itself(self):
-        state = init_basis(3, 5)  # |x=10>|q=1> say
-        hist = state.measure_all(shots=50, seed=0)
-        assert hist == {"101": 50}
-
-    def test_uniform_qubit_frequencies(self):
-        state = init_basis(1, 0).apply_gate(H(1))
-        hist = state.measure_all(shots=100_000, seed=42)
-        assert 0.49 <= hist["0"] / 100_000 <= 0.51
-        assert 0.49 <= hist["1"] / 100_000 <= 0.51
-
-    def test_zero_amplitude_never_sampled(self):
-        state = init_basis(2, 0).apply_gate(H(1))  # support on 00, 10
-        hist = state.measure_all(shots=20_000, seed=7)
-        assert set(hist) <= {"00", "10"}
-
-    def test_seed_reproducible(self):
-        state = init_basis(2, 0).apply_gate(H(1)).apply_gate(H(2))
-        assert state.measure_all(1000, seed=5) == state.measure_all(1000, seed=5)
-
     def test_dominant_outcome_requires_near_certainty(self):
         assert init_basis(2, 3).dominant_outcome() == "11"
         assert init_basis(1, 0).apply_gate(H(1)).dominant_outcome() is None

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -24,7 +25,10 @@ from lcplearn import (
     transpile,
 )
 from lcplearn.oracle import Query, f
-from lcplearn.transpile import check_legal
+from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _route_pass, check_legal
+
+# the package attribute `lcplearn.transpile` is the function, not the module
+transpile_module = importlib.import_module("lcplearn.transpile")
 
 LINEAR3 = CouplingGraph.linear(3)
 QUITO = CouplingGraph.quito()
@@ -131,6 +135,26 @@ class TestRouting:
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
             route_cnot(2, 2, QUITO)
+
+    def test_every_pair_on_a_line(self):
+        """CX(a, b) at distance d routes to 3 * 2^(d-1) - 2 coupled CNOTs."""
+        line = CouplingGraph.linear(7)
+        for a in range(7):
+            for b in range(7):
+                if a == b:
+                    continue
+                fragment = route_cnot(a, b, line)
+                assert fragment.gate_counts()["cx"] == 3 * 2 ** (abs(a - b) - 1) - 2
+                assert np.allclose(fragment.unitary(), Circuit(7, [CX(a + 1, b + 1)]).unitary())
+
+    def test_repeated_long_cx_alternates_and_preserves_unitary(self):
+        """Repeat occurrences of a routed pair use the second expansion order."""
+        line = CouplingGraph.linear(5)
+        circuit = Circuit(5, [CX(1, 4), H(2), CX(1, 4), RZ(0.3, 4), CX(1, 4), CX(5, 3), X(1), CX(5, 3)])
+        routed = _route_pass(circuit, line)
+        assert check_legal(routed, line)[1]
+        assert routed.gates[:10] != routed.gates[11:21]
+        assert np.allclose(routed.unitary(), circuit.unitary())
 
 
 class TestRewrite:
@@ -269,6 +293,75 @@ class TestTranspile:
         assert [s.name for s in report.stages] == ["input", "map", "route", "rewrite", "optimize"]
         as_dict = report.to_dict()
         assert as_dict["legal_gate_set"] and as_dict["legal_coupling"]
+
+
+DEMO_COMPILES = [(text, "linear3") for text in ("00", "01", "10", "11")] + [
+    (text, "quito") for text in ("00", "01", "10", "11", "000", "001", "010", "011", "100", "101", "110", "111")
+]
+
+
+class TestMappingSearch:
+    @pytest.mark.parametrize("text,device", DEMO_COMPILES)
+    def test_demo_auto_map_is_pinned(self, text, device):
+        """The winning mapping, its final circuit's size and every stage total are pinned."""
+        s = SecretString.from_string(text)
+        final, report = transpile(build_full_circuit(s), CouplingGraph.named(device))
+        assert report.mapping == tuple(range(s.n + 1))
+        assert final.gate_counts() == report.final_counts == {"x": 2, "z": 0, "h": 0, "sx": 4, "rz": 10, "cx": 11}
+        assert final.depth() == report.final_depth == 18
+        assert report.sweeps == 2
+        assert [(st.name, sum(st.counts.values())) for st in report.stages] == [
+            ("input", 21), ("map", 21), ("route", 27), ("rewrite", 35), ("optimize", 27)
+        ]
+        assert report.legal
+
+    @pytest.mark.parametrize("text,device", [("10", "linear3"), ("01", "quito"), ("110", "quito")])
+    def test_explicit_winning_mapping_reproduces_auto(self, text, device):
+        circuit = build_full_circuit(SecretString.from_string(text))
+        graph = CouplingGraph.named(device)
+        auto_final, auto_report = transpile(circuit, graph)
+        final, report = transpile(circuit, graph, mapping=QubitMapping(auto_report.mapping))
+        assert final == auto_final
+        assert report.to_dict() == auto_report.to_dict()
+
+    def test_full_tie_picks_lexicographically_first(self):
+        _, report = transpile(Circuit(2, [X(1)]), QUITO)
+        assert report.mapping == (0, 1)
+
+    @pytest.mark.parametrize("opt,names", [
+        (True, ["input", "map", "route", "rewrite", "optimize"]),
+        (False, ["input", "map", "route", "rewrite"]),
+    ])
+    def test_stage_records_built_for_the_winner_only(self, monkeypatch, opt, names):
+        built = []
+        original = StageRecord.of
+
+        def counting(name, circuit):
+            built.append(name)
+            return original(name, circuit)
+
+        monkeypatch.setattr(StageRecord, "of", counting)
+        transpile(build_full_circuit(SecretString.from_string("101")), QUITO, opt=opt)
+        assert built == names
+
+    def test_search_over_the_limit_refused_before_compiling(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a candidate was compiled")
+
+        monkeypatch.setattr(transpile_module, "_stages", fail)
+        assert math.perm(27, 4) > AUTO_MAP_LIMIT
+        with pytest.raises(ValueError, match="explicit mapping"):
+            transpile(Circuit(4, [CX(1, 4)]), CouplingGraph.linear(27))
+
+    def test_search_within_the_limit_accepted(self):
+        _, report = transpile(Circuit(4, [CX(1, 2), CX(3, 4)]), CouplingGraph.linear(6))
+        assert report.legal and report.final_counts["cx"] == 2
+
+    def test_limit_counts_mappings_not_width(self):
+        assert math.perm(7, 5) == AUTO_MAP_LIMIT
+        assert transpile(Circuit(5, []), CouplingGraph.linear(7))[1].mapping == (0, 1, 2, 3, 4)
+        with pytest.raises(ValueError):
+            transpile(Circuit(5, []), CouplingGraph.linear(8))
 
 
 def test_check_legal_flags():
