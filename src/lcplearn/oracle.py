@@ -4,14 +4,15 @@ A query is a pair (x, q); the answer is 1 iff the longest common prefix
 of the secret and x is longer than q.  The quantum form is a +-1 phase
 diagonal over the (x, q) register, indexed with x as the high n bits and
 q as the low t bits.  The learner's own rounds touch only four (x, q)
-entries each, which PhaseOracle.apply_pair evaluates without the
-diagonal.
+entries each, which PhaseOracle.apply_pair signs on a length-4 amplitude
+array without building the diagonal.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .statevector import Statevector, check_dense_width
 
 
@@ -159,11 +160,11 @@ class PhaseOracle:
             self.ledger.count_quantum()
         state.apply_phase_diagonal(self.signs)
 
-    def apply_pair(self, pair: Statevector, candidates, q: int) -> None:
-        """One oracle use on a state whose basis states stand for `candidates`.
+    def apply_pair(self, amps: np.ndarray, candidates, q: int) -> None:
+        """One oracle use on the four amplitudes of a learner round, in place.
 
-        candidates[b] is the n-bit x (as an int, MSB first) that basis state
-        b of `pair` represents, with the q register fixed at `q`.  Its sign
+        amps[k] is the amplitude of the n-bit candidate x = candidates[k]
+        (an int, MSB first), with the q register fixed at `q`.  Its sign
         is -1 iff lcp(s, x) > q, i.e. iff the top q+1 bits of x and s agree.
         """
         if self.ledger is not None:
@@ -173,4 +174,4 @@ class PhaseOracle:
             -1.0 if q < n and (x ^ self._secret_int) >> (n - 1 - q) == 0 else 1.0
             for x in candidates
         ])
-        pair.apply_phase_diagonal(signs)
+        kernels.apply_signs(amps, signs)

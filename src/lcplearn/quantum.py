@@ -8,12 +8,12 @@ n/2 rounds; odd n runs (n-1)/2 rounds and finishes with one classical
 query for the last bit; n=1 is a single classical query.
 
 The state entering every round is a basis state, so a round only ever
-moves four amplitudes.  run_quantum_learn therefore simulates each round
-on a 2-qubit state of its pair and carries the recovered prefix as an
-int: O(n) work per round at any n.  The dense (n+t)-qubit statevector
-stays the reference.  The traced run and certify_round use it, because
-their RoundTraces hold full states, and it is bounded by
-MAX_DENSE_QUBITS.
+moves four amplitudes.  run_quantum_learn therefore computes each round
+as R . diag(signs) . (H x H)|00> on those four numbers and carries the
+recovered prefix as an int: O(n) work per round at any n.  The dense
+(n+t)-qubit statevector, advanced by _traced_round, stays the reference.
+The traced run and certify_round use it, because their RoundTraces hold
+full states, and it is bounded by MAX_DENSE_QUBITS.
 """
 
 import math
@@ -64,9 +64,12 @@ def r_operator() -> np.ndarray:
     return (np.ones((4, 4)) - 2.0 * np.eye(4)) / 2.0
 
 
-# Built once for the per-round applications; read-only, and already
-# complex so apply_unitary2 takes it without a copy.
-_R_COMPLEX = r_operator().astype(np.complex128)
+# Built once for the per-round applications and read-only: _R for the
+# four real amplitudes of _pair_round, _R_COMPLEX for apply_unitary2 on
+# the dense state, which then takes it without a copy.
+_R = r_operator()
+_R.flags.writeable = False
+_R_COMPLEX = _R.astype(np.complex128)
 _R_COMPLEX.flags.writeable = False
 
 
@@ -96,14 +99,6 @@ class RoundCircuit:
     x_qubits: tuple[int, ...]  # absolute indices in the (n+t)-qubit register
     r_qubits: tuple[int, int]
     oracle: PhaseOracle
-
-    def apply(self, state: Statevector) -> None:
-        for q in self.h_qubits:
-            state.apply_gate(H(q))
-        for q in self.x_qubits:
-            state.apply_gate(X(q))
-        self.oracle.apply(state)
-        state.apply_unitary2(*self.r_qubits, _R_COMPLEX)
 
 
 def build_round_circuit(i: int, layout: AlgorithmLayout, oracle: PhaseOracle) -> RoundCircuit:
@@ -241,24 +236,23 @@ def _check_round_trace(trace: RoundTrace, s: SecretString, layout: AlgorithmLayo
 
 
 def _pair_round(rc: RoundCircuit, prefix: int, n: int) -> int:
-    """Run round rc.index on the 2-qubit state of its pair.
+    """Run round rc.index on the four amplitudes of its pair.
 
-    `prefix` holds the 2i-2 bits recovered so far.  Basis state k of the
-    pair stands for the candidate x = prefix . k . 0...; the q register
-    sits at q_value(i) for the whole round, so it is passed as a number.
-    Returns the pair's collapsed outcome k in 0..3.
+    `prefix` holds the 2i-2 bits recovered so far.  Amplitude k stands for
+    the candidate x = prefix . k . 0...; the q register sits at q_value(i)
+    for the whole round, so it is passed as a number.  Every amplitude is
+    a sum of +-1/4 terms, so an exact round collapses to exactly 1.0 at
+    one k.  Returns that k in 0..3.
     """
     shift = n - 2 * rc.index
     candidates = [((prefix << 2) | k) << shift for k in range(4)]
-    pair = init_basis(2, 0)
-    pair.apply_gate(H(1))
-    pair.apply_gate(H(2))
-    rc.oracle.apply_pair(pair, candidates, q_value(rc.index))
-    pair.apply_unitary2(1, 2, _R_COMPLEX)
-    outcome = pair.dominant_outcome(tol=AMP_TOL)
-    if outcome is None:
+    amps = np.full(4, 0.5)  # (H x H)|00>
+    rc.oracle.apply_pair(amps, candidates, q_value(rc.index))
+    amps = _R @ amps
+    k = int(np.argmax(np.abs(amps)))
+    if amps[k] * amps[k] < 1.0 - AMP_TOL:
         raise RuntimeError(f"round {rc.index} did not collapse to a basis state; learner not exact")
-    return int(outcome, 2)
+    return k
 
 
 def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:

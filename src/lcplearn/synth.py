@@ -18,6 +18,7 @@ from .oracle import SecretString, oracle_diagonal
 from .quantum import AlgorithmLayout, q_shift
 
 COEFF_TOL = 1e-12
+MAX_SYNTH_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,12 @@ def _naive_group(spectrum: WalshSpectrum, target: int, tol: float) -> list[Gate]
     return gates
 
 
+def _check_synth_width(width: int) -> None:
+    """Refuse a diagonal wider than MAX_SYNTH_QUBITS before transforming it."""
+    if width > MAX_SYNTH_QUBITS:
+        raise ValueError(f"diagonal synthesis limited to {MAX_SYNTH_QUBITS} qubits")
+
+
 def synth_diagonal(signs: np.ndarray, gray: bool = True) -> Circuit:
     """A {CX, RZ} circuit equal to diag(signs) up to global phase.
 
@@ -129,9 +136,8 @@ def synth_diagonal(signs: np.ndarray, gray: bool = True) -> Circuit:
     member); RZ(-2 c_w) on the accumulated parity contributes exactly
     exp(i c_w (-1)^(w.b)) per basis state.
     """
+    _check_synth_width(len(signs).bit_length() - 1)
     spectrum = walsh_decompose(signs)
-    if spectrum.width > 12:
-        raise ValueError("diagonal synthesis limited to 12 qubits")
     gates: list[Gate] = []
     build = _gray_group if gray else _naive_group
     for target in range(1, spectrum.width + 1):
@@ -152,12 +158,11 @@ def decompose_H() -> Circuit:
 def build_full_circuit(
     s: SecretString,
     t: int | None = None,
-    decompose_h: bool = False,
     gray: bool = True,
 ) -> Circuit:
     """The complete pre-transpilation learner circuit for secret s.
 
-    Per round: the H pair (native or decomposed), the q-register X mask,
+    Per round: the H pair, the q-register X mask,
     the synthesized oracle, and the reflection block.  For odd n the
     last secret bit still needs the one-query classical fix-up after
     measuring; the circuit covers the quantum part only.
@@ -170,16 +175,12 @@ def build_full_circuit(
         raise ValueError(f"q register needs at least {layout.t} qubits for n={s.n}")
     n = s.n
     width = n + t
+    _check_synth_width(width)
     oracle_gates = synth_diagonal(oracle_diagonal(s, t), gray=gray).gates
-    h_block = decompose_H() if decompose_h else None
 
     gates: list[Gate] = []
     for i in range(1, layout.rounds + 1):
-        for q in (2 * i - 1, 2 * i):
-            if h_block is None:
-                gates.append(H(q))
-            else:
-                gates.extend(h_block.remap({1: q}, width).gates)
+        gates.extend((H(2 * i - 1), H(2 * i)))
         shift = q_shift(i, t)
         gates.extend(shift.remap({j: n + j for j in range(1, t + 1)}, width).gates)
         gates.extend(oracle_gates)

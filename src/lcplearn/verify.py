@@ -30,6 +30,10 @@ from .transpile import (
 
 SUITES = ("classical", "quantum", "synth", "transpile", "noise")
 
+# The quantum suite's random rows: how many secrets in all, and their seed.
+QUANTUM_RANDOM_SECRETS = 256
+QUANTUM_RANDOM_SEED = 2024
+
 # Published oracle diagonals, indexed (x << t) | q with t = 1.
 PUBLISHED_DIAGONALS = {
     "00": (-1, -1, -1, 1, 1, 1, 1, 1),
@@ -112,16 +116,16 @@ def _quantum_run_ok(s: SecretString) -> bool:
     )
 
 
-def suite_quantum(max_n: int = 8, random_secrets: int = 256, seed: int = 2024) -> list[CheckResult]:
+def suite_quantum(max_n: int = 8) -> list[CheckResult]:
     rows = []
     start = time.perf_counter()
     for n in range(2, max_n + 1):
         ok = all(_quantum_run_ok(s) for s in _all_secrets(n))
         rows.append(CheckResult(f"quantum n={n} exhaustive", ok, f"{1 << n} secrets"))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(QUANTUM_RANDOM_SEED)
     sizes = range(9, 17)
-    per_n = max(1, random_secrets // len(sizes))
+    per_n = max(1, QUANTUM_RANDOM_SECRETS // len(sizes))
     ok = True
     for n in sizes:
         for _ in range(per_n):

@@ -15,8 +15,9 @@ from lcplearn import (
     r_operator,
     run_quantum_learn,
 )
+from lcplearn import kernels, quantum, statevector
 from lcplearn.circuit import X
-from lcplearn.quantum import _pair_round, q_value
+from lcplearn.quantum import _pair_round, _traced_round, q_value
 
 
 def all_secrets(n):
@@ -119,7 +120,7 @@ class TestRoundCircuit:
         layout = AlgorithmLayout.for_n(2)
         for s in all_secrets(2):
             state = init_basis(3, 0)
-            build_round_circuit(1, layout, PhaseOracle(s, 1)).apply(state)
+            _traced_round(state, build_round_circuit(1, layout, PhaseOracle(s, 1)), s, layout)
             assert state.dominant_outcome() == f"{s}1"
 
     def test_one_oracle_use_per_round(self):
@@ -131,7 +132,7 @@ class TestRoundCircuit:
         oracle = PhaseOracle(s, layout.t, ledger)
         state = init_basis(4 + layout.t, 0)
         for i in (1, 2):
-            build_round_circuit(i, layout, oracle).apply(state)
+            _traced_round(state, build_round_circuit(i, layout, oracle), s, layout)
         assert ledger.quantum_oracle_uses == 2
 
     def test_round_index_validation(self):
@@ -215,6 +216,46 @@ class TestPairPath:
                 prefix = (prefix << 2) | _pair_round(build_round_circuit(i, layout, oracle), prefix, n)
                 dense_x = int(np.argmax(np.abs(rt.collapsed))) >> layout.t
                 assert dense_x == prefix << (n - 2 * i)
+
+    def test_rounds_touch_no_statevector_and_one_sign_kernel_each(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the pair path used the dense simulator")
+
+        for owner, name in (
+            (quantum, "init_basis"),
+            (kernels, "apply_single"),
+            (kernels, "apply_two"),
+            (statevector.Statevector, "__init__"),
+        ):
+            monkeypatch.setattr(owner, name, fail)
+        sign_calls = []
+        apply_signs = kernels.apply_signs
+
+        def counted_signs(amps, signs):
+            sign_calls.append(1)
+            apply_signs(amps, signs)
+
+        monkeypatch.setattr(kernels, "apply_signs", counted_signs)
+
+        rng = np.random.default_rng(7)
+        secrets = [s for n in range(1, 9) for s in all_secrets(n)]
+        secrets.append(SecretString(tuple(int(b) for b in rng.integers(0, 2, 10_001))))
+        for s in secrets:
+            sign_calls.clear()
+            result = run_quantum_learn(s)
+            assert result.recovered == s.bits
+            assert len(sign_calls) == result.quantum_uses == s.n // 2
+
+    def test_round_that_does_not_collapse_is_refused(self, monkeypatch):
+        def flip_two(self, amps, candidates, q):
+            amps[:2] *= -1.0
+
+        monkeypatch.setattr(PhaseOracle, "apply_pair", flip_two)
+        s = SecretString.from_string("0110")
+        layout = AlgorithmLayout.for_n(4)
+        rc = build_round_circuit(1, layout, PhaseOracle(s, layout.t))
+        with pytest.raises(RuntimeError, match="not exact"):
+            _pair_round(rc, 0, 4)
 
     @pytest.mark.parametrize("n", [1000, 1001, 10_001])
     def test_learns_secrets_far_past_the_dense_limit(self, n):

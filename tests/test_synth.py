@@ -25,6 +25,7 @@ from lcplearn import (
     synth_diagonal,
     walsh_decompose,
 )
+from lcplearn import synth
 from lcplearn.oracle import Query, f
 from lcplearn.synth import COEFF_TOL, WalshSpectrum, _gray_group
 
@@ -215,12 +216,6 @@ class TestFullCircuit:
                     x_bits = x_bits[:-1] + (last,)
                 assert x_bits == run_quantum_learn(s).recovered
 
-    def test_decomposed_h_variant(self):
-        s = SecretString.from_string("01")
-        circuit = build_full_circuit(s, decompose_h=True)
-        assert circuit.gate_counts()["h"] == 2  # only the reflection block's pair
-        assert simulate(circuit).dominant_outcome() == "011"
-
     def test_wider_q_register(self):
         s = SecretString.from_string("11")
         circuit = build_full_circuit(s, t=2)
@@ -235,3 +230,14 @@ class TestFullCircuit:
     def test_rejects_single_bit(self):
         with pytest.raises(ValueError):
             build_full_circuit(SecretString.from_string("1"))
+
+    def test_oversized_synthesis_refused_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("built or transformed the diagonal before refusing it")
+
+        monkeypatch.setattr(synth, "walsh_decompose", fail)
+        monkeypatch.setattr(synth, "oracle_diagonal", fail)
+        with pytest.raises(ValueError, match="limited to 12 qubits"):
+            synth_diagonal(np.ones(1 << 13))
+        with pytest.raises(ValueError, match="limited to 12 qubits"):
+            build_full_circuit(SecretString.from_string("01"), t=11)
