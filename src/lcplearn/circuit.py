@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
+
 GATE_KINDS = ("x", "z", "h", "sx", "rz", "cx")
 
 ANGLE_TOL = 1e-12  # structural equality tolerance for RZ angles
@@ -125,14 +127,18 @@ class Circuit:
         return counts
 
     def unitary(self) -> np.ndarray:
-        """Product of embedded gate matrices in application order."""
+        """The circuit's 2^width x 2^width unitary; column j is U|j>.
+
+        Each gate is applied through the statevector kernels to every row
+        of the identity, so row j ends as U|j> and the result is the
+        transpose.  Refused above width 12 (a 2^12 x 2^12 matrix is 256 MiB).
+        """
         if self.width > 12:
             raise ValueError("unitary extraction limited to width <= 12")
-        dim = 1 << self.width
-        u = np.eye(dim, dtype=complex)
+        rows = np.eye(1 << self.width, dtype=complex)
         for g in self.gates:
-            u = embedded_matrix(g, self.width) @ u
-        return u
+            kernels.apply_unitary(rows, self.width, g.qubits, gate_matrix(g))
+        return rows.T
 
     def remap(self, mapping: dict[int, int], width: int) -> "Circuit":
         """Relabel qubits through `mapping` onto a register of `width`."""
@@ -173,28 +179,6 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == "rz":
         return rz_matrix(gate.theta)
     return _MAT_CX
-
-
-def embedded_matrix(gate: Gate, width: int) -> np.ndarray:
-    """The gate's unitary embedded on a `width`-qubit register."""
-    dim = 1 << width
-    u = gate_matrix(gate)
-    out = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    if len(gate.qubits) == 1:
-        s = 1 << (width - gate.qubits[0])
-        i0 = idx[(idx & s) == 0]
-        i1 = i0 | s
-        rows = (i0, i1)
-    else:
-        s1 = 1 << (width - gate.qubits[0])
-        s2 = 1 << (width - gate.qubits[1])
-        i00 = idx[((idx & s1) == 0) & ((idx & s2) == 0)]
-        rows = (i00, i00 | s2, i00 | s1, i00 | s1 | s2)
-    for r, ri in enumerate(rows):
-        for c, ci in enumerate(rows):
-            out[ri, ci] = u[r, c]
-    return out
 
 
 class ParseError(ValueError):

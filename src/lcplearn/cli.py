@@ -11,9 +11,9 @@ import sys
 from .circuit import parse, serialize
 from .classical import MAX_EXHAUSTIVE_N, learn_classical
 from .noise import NoiseProfile, estimate_asp
-from .oracle import QueryLedger, SecretString, make_teacher, oracle_diagonal
+from .oracle import QueryLedger, SecretString, make_teacher
 from .quantum import run_quantum_learn
-from .synth import build_full_circuit, synth_diagonal
+from .synth import _build
 from .transpile import CouplingGraph, QubitMapping, transpile
 from .verify import SUITES, run_suites
 
@@ -94,9 +94,7 @@ def _cmd_synth(parser, args) -> int:
     if s.n < 2:
         parser.error("synth needs a secret of at least 2 bits")
     try:
-        circuit = build_full_circuit(s, t=args.t, gray=not args.no_gray)
-        layout_t = circuit.width - s.n
-        oracle_block = synth_diagonal(oracle_diagonal(s, layout_t), gray=not args.no_gray)
+        circuit, oracle_block = _build(s, args.t, not args.no_gray)
     except ValueError as exc:
         parser.error(str(exc))
     try:

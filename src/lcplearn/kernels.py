@@ -3,8 +3,10 @@
 One vectorised numpy implementation of each hot loop: the single-qubit
 butterfly, the two-qubit 4x4 update and the diagonal multiply.
 
-All kernels mutate the amplitude array in place.  Qubit positions are
-given as bit positions (0 = least significant bit of the basis index).
+All kernels mutate the amplitude array in place.  The three loops take
+bit positions (0 = least significant bit of the basis index);
+`apply_unitary` takes 1-based qubits of a register (qubit 1 the most
+significant bit) and is the one place that maps qubits to bits.
 """
 
 import numpy as np
@@ -30,6 +32,17 @@ def apply_two(amps: np.ndarray, b1: int, b2: int, u: np.ndarray) -> None:
     cols = [s.copy() for s in slices]
     for r in range(4):
         slices[r][:] = u[r, 0] * cols[0] + u[r, 1] * cols[1] + u[r, 2] * cols[2] + u[r, 3] * cols[3]
+
+
+def apply_unitary(amps: np.ndarray, width: int, qubits: tuple, u: np.ndarray) -> None:
+    """Apply the 2x2 or 4x4 unitary `u` on `qubits` of a `width`-qubit
+    register to every 2^width-amplitude row of the C-contiguous `amps`, in
+    place.  Qubit 1 is the most significant bit; the first of two qubits
+    is u's high bit."""
+    if len(qubits) == 1:
+        apply_single(amps, width - qubits[0], u)
+    else:
+        apply_two(amps, width - qubits[0], width - qubits[1], u)
 
 
 def apply_signs(amps: np.ndarray, signs: np.ndarray) -> None:

@@ -239,15 +239,6 @@ def _clean_prefixes(circuit: Circuit) -> list[Statevector]:
     return prefixes
 
 
-def _apply(flat: np.ndarray, width: int, qubits: tuple, u: np.ndarray) -> None:
-    """Apply the 2x2 or 4x4 unitary `u` on `qubits` to every row of a
-    flattened (rows, 2^width) state array, in place."""
-    if len(qubits) == 1:
-        kernels.apply_single(flat, width - qubits[0], u)
-    else:
-        kernels.apply_two(flat, width - qubits[0], width - qubits[1], u)
-
-
 def _faulty_cdfs(circuit: Circuit, prefixes: list[Statevector], patterns: np.ndarray) -> np.ndarray:
     """Outcome CDFs of the fault patterns `patterns`, one per row: Pauli
     choice patterns[i, k] after gate k, 0 where no error fired.  Each row
@@ -276,8 +267,7 @@ def _faulty_cdfs(circuit: Circuit, prefixes: list[Statevector], patterns: np.nda
     for k in range(firsts[0], len(circuit.gates)):
         qubits = circuit.gates[k].qubits
         if loaded:
-            u = np.asarray(gate_matrix(circuit.gates[k]), dtype=np.complex128)
-            _apply(states[:loaded].reshape(-1), width, qubits, u)
+            kernels.apply_unitary(states[:loaded], width, qubits, gate_matrix(circuit.gates[k]))
         end = bisect_right(firsts, k)
         states[loaded:end] = prefixes[k + 1].amps
         loaded = end
@@ -285,12 +275,11 @@ def _faulty_cdfs(circuit: Circuit, prefixes: list[Statevector], patterns: np.nda
         for choice in set(column.tolist()) - {0}:
             at = np.flatnonzero(column == choice)
             group = states[at]
-            flat = group.reshape(-1)
             control, target = divmod(choice, 4) if len(qubits) == 2 else (choice, 0)
             if control:
-                _apply(flat, width, qubits[:1], _PAULIS[control])
+                kernels.apply_unitary(group, width, qubits[:1], _PAULIS[control])
             if target:
-                _apply(flat, width, qubits[1:], _PAULIS[target])
+                kernels.apply_unitary(group, width, qubits[1:], _PAULIS[target])
             states[at] = group
     cums = np.cumsum(np.abs(states) ** 2, axis=1)
     cums[:, -1] = 1.0
@@ -444,12 +433,8 @@ def _conjugate(rho: np.ndarray, width: int, qubits: tuple, u: np.ndarray) -> np.
     and low half columns, so u acts on the row qubits and conj(u) on the
     column qubits.
     """
-    for offset, m in ((width, u), (0, u.conj())):
-        bits = [offset + width - q for q in qubits]
-        if len(bits) == 1:
-            kernels.apply_single(rho, bits[0], m)
-        else:
-            kernels.apply_two(rho, bits[0], bits[1], m)
+    kernels.apply_unitary(rho, 2 * width, qubits, u)
+    kernels.apply_unitary(rho, 2 * width, tuple(q + width for q in qubits), u.conj())
     return rho
 
 

@@ -53,28 +53,27 @@ class Statevector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
-    def _bit(self, qubit: int) -> int:
-        if not 1 <= qubit <= self.num_qubits:
-            raise ValueError(f"qubit {qubit} out of range 1..{self.num_qubits}")
-        return self.num_qubits - qubit
+    def _check(self, qubits: tuple) -> None:
+        for q in qubits:
+            if not 1 <= q <= self.num_qubits:
+                raise ValueError(f"qubit {q} out of range 1..{self.num_qubits}")
 
     def apply_unitary1(self, qubit: int, u: np.ndarray) -> "Statevector":
-        kernels.apply_single(self.amps, self._bit(qubit), np.asarray(u, dtype=np.complex128))
+        self._check((qubit,))
+        kernels.apply_unitary(self.amps, self.num_qubits, (qubit,), np.asarray(u, dtype=np.complex128))
         return self
 
     def apply_unitary2(self, q1: int, q2: int, u: np.ndarray) -> "Statevector":
         if q1 == q2:
             raise ValueError("two-qubit unitary needs distinct qubits")
-        kernels.apply_two(
-            self.amps, self._bit(q1), self._bit(q2), np.asarray(u, dtype=np.complex128)
-        )
+        self._check((q1, q2))
+        kernels.apply_unitary(self.amps, self.num_qubits, (q1, q2), np.asarray(u, dtype=np.complex128))
         return self
 
     def apply_gate(self, gate: Gate) -> "Statevector":
-        u = gate_matrix(gate)
-        if gate.kind == "cx":
-            return self.apply_unitary2(gate.qubits[0], gate.qubits[1], u)
-        return self.apply_unitary1(gate.qubits[0], u)
+        self._check(gate.qubits)
+        kernels.apply_unitary(self.amps, self.num_qubits, gate.qubits, gate_matrix(gate))
+        return self
 
     def apply_phase_diagonal(self, signs: np.ndarray) -> "Statevector":
         """Multiply amplitude b by signs[b]; the fast path for phase oracles."""
@@ -114,17 +113,23 @@ def simulate(circuit: Circuit, initial: Statevector | None = None) -> Statevecto
     return state
 
 
-def equal_up_to_global_phase(a: Statevector, b: Statevector, tol: float = NORM_TOL) -> bool:
+def _equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     """True iff a == lam * b for some unit-modulus lam, to max-norm tol.
 
-    lam is fixed from the largest-magnitude amplitude of a, which avoids
+    lam is fixed from the largest-magnitude entry of a, which avoids
     dividing by near-zero entries.
     """
+    k = int(np.argmax(np.abs(a)))
+    ref = b.flat[k]
+    if abs(ref) <= tol:
+        return False
+    lam = a.flat[k] / ref
+    lam /= abs(lam)
+    return float(np.max(np.abs(a - lam * b))) <= tol
+
+
+def equal_up_to_global_phase(a: Statevector, b: Statevector, tol: float = NORM_TOL) -> bool:
+    """True iff a == lam * b for some unit-modulus lam, to max-norm tol."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("states have different widths")
-    k = int(np.argmax(np.abs(a.amps)))
-    if abs(b.amps[k]) <= tol:
-        return False
-    lam = a.amps[k] / b.amps[k]
-    lam /= abs(lam)
-    return float(np.max(np.abs(a.amps - lam * b.amps))) <= tol
+    return _equal_up_to_phase(a.amps, b.amps, tol)

@@ -167,6 +167,11 @@ def build_full_circuit(
     last secret bit still needs the one-query classical fix-up after
     measuring; the circuit covers the quantum part only.
     """
+    return _build(s, t, gray)[0]
+
+
+def _build(s: SecretString, t: int | None, gray: bool) -> tuple[Circuit, Circuit]:
+    """`build_full_circuit`'s circuit and the synthesized oracle block it repeats."""
     if s.n < 2:
         raise ValueError("circuit construction needs n >= 2")
     layout = AlgorithmLayout.for_n(s.n)
@@ -176,15 +181,15 @@ def build_full_circuit(
     n = s.n
     width = n + t
     _check_synth_width(width)
-    oracle_gates = synth_diagonal(oracle_diagonal(s, t), gray=gray).gates
+    oracle = synth_diagonal(oracle_diagonal(s, t), gray=gray)
 
     gates: list[Gate] = []
     for i in range(1, layout.rounds + 1):
         gates.extend((H(2 * i - 1), H(2 * i)))
         shift = q_shift(i, t)
         gates.extend(shift.remap({j: n + j for j in range(1, t + 1)}, width).gates)
-        gates.extend(oracle_gates)
+        gates.extend(oracle.gates)
         gates.extend(
             synth_R().remap({1: 2 * i - 1, 2: 2 * i}, width).gates
         )
-    return Circuit(width, gates)
+    return Circuit(width, gates), oracle

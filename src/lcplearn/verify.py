@@ -18,7 +18,7 @@ from .classical import min_external_path_length, verify_optimality
 from .noise import NoiseProfile, estimate_asp, exact_asp
 from .oracle import Query, SecretString, f, oracle_diagonal
 from .quantum import CertificationError, certify_round, run_quantum_learn
-from .statevector import simulate
+from .statevector import _equal_up_to_phase, simulate
 from .synth import build_full_circuit, synth_diagonal
 from .transpile import (
     CouplingGraph,
@@ -155,16 +155,6 @@ def suite_quantum(max_n: int = 8) -> list[CheckResult]:
     return rows
 
 
-def _matrix_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    k = int(np.argmax(np.abs(a)))
-    ref = b.flat[k]
-    if abs(ref) <= tol:
-        return False
-    lam = a.flat[k] / ref
-    lam /= abs(lam)
-    return float(np.max(np.abs(a - lam * b))) <= tol
-
-
 def suite_synth() -> list[CheckResult]:
     rows = []
     ok = True
@@ -188,7 +178,7 @@ def suite_synth() -> list[CheckResult]:
     for text in DEMO_SECRETS:
         signs = oracle_diagonal(SecretString.from_string(text), 1)
         circuit = synth_diagonal(signs)
-        if not _matrix_equal_up_to_phase(np.diag(signs).astype(complex), circuit.unitary(), 1e-9):
+        if not _equal_up_to_phase(np.diag(signs).astype(complex), circuit.unitary(), 1e-9):
             ok = False
         counts = circuit.gate_counts()
         if circuit.width == 3 and (counts["cx"] > 6 or counts["rz"] > 7):
@@ -202,7 +192,7 @@ def suite_synth() -> list[CheckResult]:
         m = int(rng.integers(2, 6))
         signs = rng.choice([-1.0, 1.0], size=1 << m)
         circuit = synth_diagonal(signs)
-        if not _matrix_equal_up_to_phase(np.diag(signs).astype(complex), circuit.unitary(), 1e-9):
+        if not _equal_up_to_phase(np.diag(signs).astype(complex), circuit.unitary(), 1e-9):
             ok = False
         counts = circuit.gate_counts()
         if counts["cx"] > (1 << m) - 2 or counts["rz"] > (1 << m) - 1:
@@ -259,10 +249,10 @@ def suite_transpile() -> list[CheckResult]:
         circuit = _random_circuit(rng, width=4, max_gates=80)
         ref = circuit.unitary()
         rewritten = rewrite_to_device(circuit)
-        if not _matrix_equal_up_to_phase(ref, rewritten.unitary(), 1e-9):
+        if not _equal_up_to_phase(ref, rewritten.unitary(), 1e-9):
             sound = False
         optimized, _ = optimize(rewritten)
-        if not _matrix_equal_up_to_phase(ref, optimized.unitary(), 1e-9):
+        if not _equal_up_to_phase(ref, optimized.unitary(), 1e-9):
             sound = False
         if len(optimized) > len(rewritten):
             shrinking = False

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcplearn import CX, H, RZ, SX, X, Z, Circuit, Gate, parse, serialize
-from lcplearn.circuit import ParseError, embedded_matrix
+from lcplearn import CX, H, RZ, SX, X, Z, Circuit, Gate, init_basis, parse, serialize, simulate
+from lcplearn.circuit import ParseError
 
 
 class TestGateValidation:
@@ -99,9 +99,18 @@ class TestUnitary:
         with pytest.raises(ValueError):
             Circuit(13).unitary()
 
+    def test_columns_are_bit_identical_to_simulating_basis_states(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            width = int(rng.integers(2, 6))
+            c = Circuit(width, _random_gates(rng, width, int(rng.integers(1, 30))))
+            u = c.unitary()
+            for j in (0, (1 << width) - 1):
+                assert np.array_equal(simulate(c, init_basis(width, j)).amps, u[:, j])
 
-def test_embedded_matrix_matches_kron_for_qubit1():
-    u = embedded_matrix(H(1), 2)
+
+def test_unitary_of_qubit1_gate_matches_kron():
+    u = Circuit(2, [H(1)]).unitary()
     assert np.allclose(u, np.kron(Circuit(1, [H(1)]).unitary(), np.eye(2)))
 
 

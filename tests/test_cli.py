@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lcplearn import parse
+from lcplearn import parse, synth
 from lcplearn.cli import main
 
 
@@ -71,6 +71,19 @@ class TestSynth:
         code, doc, _ = run_cli(capsys, "synth", "--secret", "000", "--out", str(out))
         assert code == 0
         assert parse(out.read_text()).width == 4
+
+    def test_synthesizes_the_oracle_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = synth.walsh_decompose
+
+        def counted(signs):
+            calls.append(signs)
+            return original(signs)
+
+        monkeypatch.setattr(synth, "walsh_decompose", counted)
+        code, _, _ = run_cli(capsys, "synth", "--secret", "0110", "--out", str(tmp_path / "c.qasm"))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_single_bit_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as err:

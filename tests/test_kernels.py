@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from lcplearn import kernels
+from lcplearn import CX, H, RZ, SX, Circuit, NoiseProfile, kernels, run_noisy, simulate
+from lcplearn.noise import exact_distribution
 
 I2 = np.eye(2)
 
@@ -86,6 +87,35 @@ def test_sign_kernel_is_bit_exact(width):
     expected = np.diag(signs) @ amps
     kernels.apply_signs(amps, signs)
     assert np.array_equal(amps, expected)
+
+
+def test_every_gate_goes_through_apply_unitary(monkeypatch):
+    """The statevector, Circuit.unitary, the density matrix and the noisy
+    replay's fault rows each make one bit-position kernel call per
+    apply_unitary call, so none maps qubits to bits on its own."""
+    calls = {"apply_single": 0, "apply_two": 0, "apply_unitary": 0}
+    for name in calls:
+        original = getattr(kernels, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    circuit = Circuit(3, [H(1), CX(1, 3), SX(2), RZ(0.4, 3), CX(3, 2), H(2)])
+    # every gate errs for sure, so run_noisy resimulates fault patterns
+    profile = NoiseProfile.uniform(3, cx=1.0, readout=0.0, sq=1.0)
+    for run in (
+        lambda: simulate(circuit),
+        circuit.unitary,
+        lambda: exact_distribution(circuit, profile),
+        lambda: run_noisy(circuit, profile, shots=64, seed=5),
+    ):
+        for name in calls:
+            calls[name] = 0
+        run()
+        assert calls["apply_unitary"] > 0
+        assert calls["apply_single"] + calls["apply_two"] == calls["apply_unitary"]
 
 
 def test_learning_never_imports_numba():

@@ -7,8 +7,10 @@ import pytest
 from lcplearn import (
     CX,
     H,
+    RZ,
     X,
     Circuit,
+    Gate,
     NoiseProfile,
     SecretString,
     estimate_asp,
@@ -425,6 +427,25 @@ class TestExactAsp:
         probs = exact_distribution(Circuit(2, [CX(1, 2)]), profile)
         assert probs[0] == pytest.approx(1 - 12 * p / 15, abs=1e-15)
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_noise_matches_the_statevector(self):
+        """Pins the row and column qubits of the vectorized density matrix."""
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            width = int(rng.integers(2, 5))
+            gates = []
+            for _ in range(int(rng.integers(1, 16))):
+                a, b = (int(q) for q in rng.choice(width, size=2, replace=False) + 1)
+                kind = str(rng.choice(["x", "z", "h", "sx", "rz", "cx"]))
+                if kind == "cx":
+                    gates.append(CX(a, b))
+                elif kind == "rz":
+                    gates.append(RZ(float(rng.uniform(-math.pi, math.pi)), a))
+                else:
+                    gates.append(Gate(kind, (a,)))
+            circuit = Circuit(width, gates)
+            probs = exact_distribution(circuit, NoiseProfile.zero(width))
+            assert np.max(np.abs(probs - simulate(circuit).probabilities())) < 1e-12
 
     def test_readout_confusion_on_the_diagonal(self):
         profile = NoiseProfile({}, (0.1, 0.25), (0.0, 0.0))
