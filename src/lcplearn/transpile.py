@@ -1,10 +1,10 @@
 """Device-constrained compilation.
 
-Pipeline: map logical qubits onto the coupling graph, route non-adjacent
-CNOTs through the four-CNOT identity, rewrite into the device gate set
-{CX, RZ, SX, X}, then peephole-optimize to a fixed point.  Every pass
-preserves the unitary up to global phase and never increases the gate
-count.
+Pipeline: map logical qubits onto the coupling graph, route each
+non-adjacent CNOT as a CNOT ladder along a shortest path (4(d-1) CNOTs
+at distance d), rewrite into the device gate set {CX, RZ, SX, X}, then
+peephole-optimize to a fixed point.  Every pass preserves the unitary
+up to global phase and never increases the gate count.
 
 Physical qubits are 0-based (Q0, Q1, ...); a physical circuit of width P
 uses internal qubit p+1 for Qp, so the serialized q[p] is exactly Qp.
@@ -69,6 +69,9 @@ class CouplingGraph:
         return sorted(out)
 
     def shortest_path(self, a: int, b: int) -> list[int]:
+        for v in (a, b):
+            if not 0 <= v < self.num_qubits:
+                raise ValueError(f"qubit {v} is not on this {self.num_qubits}-qubit graph")
         if a == b:
             raise ValueError("endpoints must differ")
         prev = {a: None}
@@ -151,19 +154,16 @@ def _route_gates(path: list[int], variant: int) -> list[Gate]:
     """CX from physical `path[0]` to `path[-1]` along a shortest path,
     using only coupled CNOTs.
 
-    Distance 2 uses the four-CNOT identity through the midpoint; longer
-    distances recurse on the rest of the path.  The two expansion orders
-    are equivalent; alternating them across repeat occurrences exposes
-    pair cancellations to the optimizer.
+    A path v0..vd becomes a ladder of CX(v_i, v_{i+1}) over four runs:
+    i = 0..d-1, d-2..0, 1..d-1, d-2..1, which is 4(d-1) CNOTs for d >= 2
+    (the four-CNOT identity at d = 2) and one CNOT at d = 1.  Variant 1
+    is the ladder reversed; every gate is a self-inverse CX, so it
+    realizes the same CX, and alternating the two across repeat
+    occurrences exposes pair cancellations to the optimizer.
     """
-    control, mid, target = path[0], path[1], path[-1]
-    if len(path) == 2:
-        return [CX(control + 1, target + 1)]
-    hop = CX(control + 1, mid + 1)
-    rest = _route_gates(path[1:], 0)
-    if variant == 0:
-        return [hop] + rest + [hop] + rest
-    return rest + [hop] + rest + [hop]
+    hops = [CX(a + 1, b + 1) for a, b in zip(path, path[1:])]
+    gates = hops + hops[-2::-1] + hops[1:] + hops[-2:0:-1]
+    return gates[::-1] if variant else gates
 
 
 def route_cnot(control: int, target: int, graph: CouplingGraph) -> Circuit:
@@ -466,7 +466,7 @@ def transpile(
     if mapping is not None:
         if mapping.width != circuit.width:
             raise ValueError("mapping width does not match circuit width")
-        if any(p >= graph.num_qubits for p in mapping.physical):
+        if any(not 0 <= p < graph.num_qubits for p in mapping.physical):
             raise ValueError("mapping targets nonexistent physical qubits")
         return _report(*_stages(circuit, graph, mapping, opt), mapping, graph)
     tries = math.perm(graph.num_qubits, circuit.width)

@@ -5,6 +5,7 @@ full report always prints.  The published per-secret oracle diagonals
 are frozen here as literals and double as regression vectors.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._streams import fill_uniform
-from .circuit import Circuit, Gate
+from .circuit import CX, Circuit, Gate
 from .classical import min_external_path_length, verify_optimality
 from .noise import NoiseProfile, estimate_asp, exact_asp
 from .oracle import Query, SecretString, f, oracle_diagonal
@@ -22,6 +23,7 @@ from .statevector import _equal_up_to_phase, simulate
 from .synth import build_full_circuit, synth_diagonal
 from .transpile import (
     CouplingGraph,
+    _route_gates,
     check_legal,
     optimize,
     rewrite_to_device,
@@ -242,6 +244,7 @@ def suite_transpile() -> list[CheckResult]:
             )
     rows.append(CheckResult("demo instances transpile legal and recover", ok, "12 instances"))
     rows.append(budget_row)
+    rows.append(_routing_row())
 
     rng = np.random.default_rng(5)
     sound = idempotent = shrinking = True
@@ -263,6 +266,30 @@ def suite_transpile() -> list[CheckResult]:
     rows.append(CheckResult("optimize never increases gate count", shrinking))
     rows.append(CheckResult("optimize is idempotent", idempotent))
     return rows
+
+
+def _routing_row() -> CheckResult:
+    """Both expansion orders of every ordered pair's routed CX: coupled
+    CNOTs only, the exact CX unitary, and 4(d-1) CNOTs at distance d >= 2."""
+    ok = True
+    pairs = 0
+    for graph in (CouplingGraph.quito(), CouplingGraph.linear(7)):
+        width = graph.num_qubits
+        for a, b in itertools.permutations(range(width), 2):
+            path = graph.shortest_path(a, b)
+            d = len(path) - 1
+            expected = Circuit(width, [CX(a + 1, b + 1)]).unitary()
+            for variant in (0, 1):
+                fragment = Circuit(width, _route_gates(path, variant))
+                ok &= check_legal(fragment, graph) == (True, True)
+                ok &= len(fragment) == (1 if d == 1 else 4 * (d - 1))
+                ok &= bool(np.allclose(fragment.unitary(), expected))
+            pairs += 1
+    return CheckResult(
+        "routed CX on every pair of quito and a 7-line: legal, equal to CX, 4(d-1) CNOTs",
+        ok,
+        f"{pairs} ordered pairs, both expansion orders",
+    )
 
 
 def _random_circuit(rng, width: int, max_gates: int) -> Circuit:

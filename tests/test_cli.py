@@ -190,6 +190,14 @@ class TestTranspile:
         assert code == 0
         assert doc["report"]["mapping"] == [0, 1, 3]
 
+    def test_negative_mapping_is_usage_error(self, capsys, circuit_file):
+        with pytest.raises(SystemExit) as err:
+            main(["transpile", "--in", str(circuit_file), "--target", "quito", "--mapping=-1,0,1"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "mapping targets nonexistent physical qubits" in captured.err
+
 
 class TestAsp:
     def test_zero_noise_default(self, capsys):

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 
@@ -25,13 +26,15 @@ from lcplearn import (
     transpile,
 )
 from lcplearn.oracle import Query, f
-from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _route_pass, check_legal
+from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _route_gates, _route_pass, check_legal
+from lcplearn.verify import _recovers_secret
 
 # the package attribute `lcplearn.transpile` is the function, not the module
 transpile_module = importlib.import_module("lcplearn.transpile")
 
 LINEAR3 = CouplingGraph.linear(3)
 QUITO = CouplingGraph.quito()
+RING6 = CouplingGraph(6, frozenset((i, (i + 1) % 6) for i in range(6)))
 
 
 def mat_equal_up_to_phase(a, b, tol=1e-9):
@@ -55,6 +58,24 @@ def random_circuit(rng, width, max_gates):
         else:
             gates.append(Gate(kind, (int(rng.integers(1, width + 1)),)))
     return Circuit(width, gates)
+
+
+def assert_every_pair_routes_as_a_ladder(graph):
+    """Every ordered pair's routed CX, in both expansion orders: coupled
+    CNOTs only, 4(d - 1) of them at distance d >= 2, the exact CX
+    unitary; variant 1 is variant 0 reversed."""
+    width = graph.num_qubits
+    for a, b in itertools.permutations(range(width), 2):
+        path = graph.shortest_path(a, b)
+        d = len(path) - 1
+        assert list(route_cnot(a, b, graph).gates) == _route_gates(path, 0)
+        assert _route_gates(path, 1) == _route_gates(path, 0)[::-1]
+        expected = Circuit(width, [CX(a + 1, b + 1)]).unitary()
+        for variant in (0, 1):
+            routed = Circuit(width, _route_gates(path, variant))
+            assert len(routed) == (1 if d == 1 else 4 * (d - 1))
+            assert check_legal(routed, graph) == (True, True)
+            assert np.allclose(routed.unitary(), expected)
 
 
 class TestCouplingGraph:
@@ -137,23 +158,45 @@ class TestRouting:
             route_cnot(2, 2, QUITO)
 
     def test_every_pair_on_a_line(self):
-        """CX(a, b) at distance d routes to 3 * 2^(d-1) - 2 coupled CNOTs."""
+        """CX(a, b) at distance d routes to one CNOT at d = 1 and 4(d - 1)
+        coupled CNOTs otherwise, in both expansion orders."""
         line = CouplingGraph.linear(7)
-        for a in range(7):
-            for b in range(7):
-                if a == b:
-                    continue
-                fragment = route_cnot(a, b, line)
-                assert fragment.gate_counts()["cx"] == 3 * 2 ** (abs(a - b) - 1) - 2
-                assert np.allclose(fragment.unitary(), Circuit(7, [CX(a + 1, b + 1)]).unitary())
+        for a, b in itertools.permutations(range(7), 2):
+            d = abs(a - b)
+            assert route_cnot(a, b, line).gate_counts()["cx"] == (1 if d == 1 else 4 * (d - 1))
+        assert_every_pair_routes_as_a_ladder(line)
+
+    @pytest.mark.parametrize("graph", [QUITO, RING6], ids=["quito", "ring6"])
+    def test_every_pair_on_quito_and_a_ring(self, graph):
+        assert_every_pair_routes_as_a_ladder(graph)
+
+    def test_ring_breaks_ties_by_sorted_neighbour(self):
+        assert RING6.shortest_path(0, 3) == [0, 1, 2, 3]
+        assert RING6.shortest_path(3, 0) == [3, 2, 1, 0]
+
+    @pytest.mark.parametrize("a,b", [(0, 9), (9, 0), (-1, 2), (2, -1), (5, 1)])
+    def test_out_of_range_endpoint_rejected(self, a, b):
+        with pytest.raises(ValueError, match="not on this 5-qubit graph"):
+            QUITO.shortest_path(a, b)
+        with pytest.raises(ValueError, match="not on this 5-qubit graph"):
+            route_cnot(a, b, QUITO)
 
     def test_repeated_long_cx_alternates_and_preserves_unitary(self):
-        """Repeat occurrences of a routed pair use the second expansion order."""
+        """Repeat occurrences of a routed pair use the reversed ladder."""
         line = CouplingGraph.linear(5)
         circuit = Circuit(5, [CX(1, 4), H(2), CX(1, 4), RZ(0.3, 4), CX(1, 4), CX(5, 3), X(1), CX(5, 3)])
         routed = _route_pass(circuit, line)
         assert check_legal(routed, line)[1]
-        assert routed.gates[:10] != routed.gates[11:21]
+        far, near = len(route_cnot(0, 3, line)), len(route_cnot(4, 2, line))
+        assert (far, near) == (8, 4)  # distance 3 and distance 2
+        gates = routed.gates
+        first, second, third = gates[:far], gates[far + 1 : 2 * far + 1], gates[2 * far + 2 : 3 * far + 2]
+        assert second == first[::-1] != first
+        assert third == first
+        assert (gates[far], gates[2 * far + 1]) == (H(2), RZ(0.3, 4))
+        rest = gates[3 * far + 2 :]
+        assert rest[near] == X(1) and len(rest) == 2 * near + 1
+        assert rest[near + 1 :] == rest[:near][::-1] != rest[:near]
         assert np.allclose(routed.unitary(), circuit.unitary())
 
 
@@ -286,6 +329,25 @@ class TestTranspile:
             final, report = transpile(circuit, LINEAR3, mapping=QubitMapping((0, 1, 2)))
             assert report.legal
             assert mat_equal_up_to_phase(circuit.unitary(), final.unitary())
+
+    @pytest.mark.parametrize("mapping", [(-1, 0, 1), (0, 1, 5)])
+    def test_mapping_outside_the_device_rejected(self, mapping):
+        circuit = build_full_circuit(SecretString.from_string("00"))
+        with pytest.raises(ValueError, match="nonexistent physical qubits"):
+            transpile(circuit, QUITO, mapping=QubitMapping(mapping))
+
+    @pytest.mark.parametrize("text,cx", [("0110", 478), ("01101", 718), ("011010", 6693)])
+    def test_chain_compile_is_pinned(self, text, cx):
+        """Identity-mapped onto a line of width n + t, the chain's long CXs
+        route as ladders; the final CX count is pinned and the circuit
+        still recovers the secret."""
+        s = SecretString.from_string(text)
+        circuit = build_full_circuit(s)
+        width = circuit.width
+        final, report = transpile(circuit, CouplingGraph.linear(width), mapping=QubitMapping.identity(width))
+        assert final.gate_counts()["cx"] == report.final_counts["cx"] == cx
+        assert report.legal
+        assert _recovers_secret(final, report.mapping, s)
 
     def test_stage_records_cover_pipeline(self):
         circuit = build_full_circuit(SecretString.from_string("11"))

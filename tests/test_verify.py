@@ -24,6 +24,8 @@ def test_transpile_suite_all_green():
     assert rows and all(r.passed for r in rows)
     budget = next(r for r in rows if "budget" in r.name)
     assert "delta" in budget.detail
+    routing = next(r for r in rows if r.name.startswith("routed CX on every pair"))
+    assert routing.detail == "62 ordered pairs, both expansion orders"
 
 
 def test_noise_suite_all_green():
