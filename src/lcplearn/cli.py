@@ -135,7 +135,7 @@ def _cmd_transpile(parser, args) -> int:
         parser.error(f"cannot read {args.infile}: {exc}")
     except ValueError as exc:
         print(f"transpile: parse failure: {exc}", file=sys.stderr)
-        return 1
+        return 2
     graph = _load_graph(parser, args.target)
     mapping = None
     if args.mapping:

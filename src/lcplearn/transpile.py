@@ -15,6 +15,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .circuit import CX, RZ, SX, Circuit, Gate
 
@@ -31,6 +32,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _path_to(prev: dict, b: int) -> list[int]:
+    """The path from a breadth-first search's root to `b`, given `prev`."""
+    path = [b]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
 @dataclass(frozen=True)
 class CouplingGraph:
     num_qubits: int
@@ -42,19 +51,21 @@ class CouplingGraph:
         for a, b in norm:
             if a == b or not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
                 raise ValueError(f"bad edge ({a}, {b}) for {self.num_qubits} qubits")
-        if self.num_qubits > 1 and not self._connected():
+        if self.num_qubits > 1 and len(self._bfs(0)) != self.num_qubits:
             raise ValueError("coupling graph must be connected")
 
-    def _connected(self) -> bool:
-        seen = {0}
-        frontier = deque([0])
+    def _bfs(self, root: int) -> dict:
+        """Each vertex reachable from `root` -> its predecessor on a
+        breadth-first search that visits neighbours in sorted order."""
+        prev = {root: None}
+        frontier = deque([root])
         while frontier:
             v = frontier.popleft()
             for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
+                if w not in prev:
+                    prev[w] = v
                     frontier.append(w)
-        return len(seen) == self.num_qubits
+        return prev
 
     def has_edge(self, a: int, b: int) -> bool:
         return tuple(sorted((a, b))) in self.edges
@@ -74,20 +85,35 @@ class CouplingGraph:
                 raise ValueError(f"qubit {v} is not on this {self.num_qubits}-qubit graph")
         if a == b:
             raise ValueError("endpoints must differ")
-        prev = {a: None}
-        frontier = deque([a])
-        while frontier:
-            v = frontier.popleft()
-            if v == b:
-                break
-            for w in self.neighbors(v):
-                if w not in prev:
-                    prev[w] = v
-                    frontier.append(w)
-        path = [b]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])
-        return path[::-1]
+        return _path_to(self._bfs(a), b)
+
+    @cached_property
+    def routes(self) -> dict:
+        """(control, target) -> two coupling-legal realizations of that CX,
+        for every ordered pair of physical qubits.
+
+        A shortest path v0..vd becomes a ladder of CX(v_i, v_{i+1}) over
+        four runs: i = 0..d-1, d-2..0, 1..d-1, d-2..1, which is 4(d-1)
+        CNOTs for d >= 2 (the four-CNOT identity at d = 2) and one CNOT at
+        d = 1.  The second realization is the ladder reversed, the same CX
+        since every gate is a self-inverse CX; routing alternates the two
+        across repeat occurrences of a pair, which exposes pair
+        cancellations to the optimizer.  The ladders reuse one `Gate` per
+        directed edge, so routing builds no gates.
+        """
+        cx = {}
+        for a, b in self.edges:
+            cx[a, b], cx[b, a] = CX(a + 1, b + 1), CX(b + 1, a + 1)
+        table = {}
+        for a in range(self.num_qubits):
+            prev = self._bfs(a)
+            for b in range(self.num_qubits):
+                if b != a:
+                    path = _path_to(prev, b)
+                    hops = [cx[hop] for hop in zip(path, path[1:])]
+                    ladder = tuple(hops + hops[-2::-1] + hops[1:] + hops[-2:0:-1])
+                    table[a, b] = ladder, ladder[::-1]
+        return table
 
     @classmethod
     def linear(cls, n: int) -> "CouplingGraph":
@@ -150,27 +176,12 @@ class QubitMapping:
         return cls(tuple(range(width)))
 
 
-def _route_gates(path: list[int], variant: int) -> list[Gate]:
-    """CX from physical `path[0]` to `path[-1]` along a shortest path,
-    using only coupled CNOTs.
-
-    A path v0..vd becomes a ladder of CX(v_i, v_{i+1}) over four runs:
-    i = 0..d-1, d-2..0, 1..d-1, d-2..1, which is 4(d-1) CNOTs for d >= 2
-    (the four-CNOT identity at d = 2) and one CNOT at d = 1.  Variant 1
-    is the ladder reversed; every gate is a self-inverse CX, so it
-    realizes the same CX, and alternating the two across repeat
-    occurrences exposes pair cancellations to the optimizer.
-    """
-    hops = [CX(a + 1, b + 1) for a, b in zip(path, path[1:])]
-    gates = hops + hops[-2::-1] + hops[1:] + hops[-2:0:-1]
-    return gates[::-1] if variant else gates
-
-
 def route_cnot(control: int, target: int, graph: CouplingGraph) -> Circuit:
     """Coupling-legal realization of CX(control, target), as a fragment."""
     if control == target:
         raise ValueError("control and target must differ")
-    return Circuit(graph.num_qubits, _route_gates(graph.shortest_path(control, target), 0))
+    graph.shortest_path(control, target)  # raises for an endpoint off the graph
+    return Circuit(graph.num_qubits, graph.routes[control, target][0])
 
 
 def rewrite_to_device(circuit: Circuit) -> Circuit:
@@ -418,14 +429,38 @@ def _route_pass(circuit: Circuit, graph: CouplingGraph) -> Circuit:
         if g.kind != "cx":
             gates.append(g)
             continue
-        a, b = g.qubits[0] - 1, g.qubits[1] - 1
-        if graph.has_edge(a, b):
-            gates.append(g)
-            continue
-        seen = occurrence.get((a, b), 0)
-        occurrence[(a, b)] = seen + 1
-        gates.extend(_route_gates(graph.shortest_path(a, b), seen % 2))
+        pair = (g.qubits[0] - 1, g.qubits[1] - 1)
+        seen = occurrence.get(pair, 0)
+        occurrence[pair] = seen + 1
+        gates.extend(graph.routes[pair][seen % 2])
     return Circuit(circuit.width, gates)
+
+
+def _routed_key(ops: list[tuple], physical: tuple[int, ...], routes: dict) -> tuple:
+    """`ops` mapped through `physical` and routed as `_route_pass` does, as
+    (kind, qubits, theta) tuples whose physical qubits are relabelled
+    1, 2, ... in order of first appearance.
+
+    Two mappings with the same key compile to the same circuit up to that
+    relabelling: rewrite, optimize, gate counts and depth compare qubits
+    only for equality, so the two final circuits score the same.
+    """
+    label: dict[int, int] = {}
+    key = []
+    occurrence: dict[tuple[int, int], int] = {}
+    for kind, qubits, theta in ops:
+        if kind != "cx":
+            p = physical[qubits[0] - 1] + 1
+            key.append((kind, (label.setdefault(p, len(label) + 1),), theta))
+            continue
+        pair = (physical[qubits[0] - 1], physical[qubits[1] - 1])
+        seen = occurrence.get(pair, 0)
+        occurrence[pair] = seen + 1
+        for cx in routes[pair][seen % 2]:
+            c, t = cx.qubits
+            c = label.setdefault(c, len(label) + 1)
+            key.append(("cx", (c, label.setdefault(t, len(label) + 1)), None))
+    return tuple(key)
 
 
 def _stages(circuit: Circuit, graph: CouplingGraph, mapping: QubitMapping, opt: bool):
@@ -454,10 +489,12 @@ def transpile(
 ) -> tuple[Circuit, PassReport]:
     """Map, route, rewrite and optimize a circuit onto the device.
 
-    With no mapping given, every injective assignment is compiled (at
-    most AUTO_MAP_LIMIT of them) and the one with the lowest final CX
-    count wins; ties break by depth, then lexicographically.  Stage
-    records are built for the winner only.
+    With no mapping given, every injective assignment (at most
+    AUTO_MAP_LIMIT of them) is routed and keyed by its relabelled routed
+    circuit (`_routed_key`); each distinct key is rewritten and optimized
+    once.  The mapping with the lowest final CX count wins; ties break by
+    depth, then lexicographically.  Stage records are built for the
+    winner only.
     """
     if circuit.width > graph.num_qubits:
         raise ValueError(
@@ -476,12 +513,18 @@ def transpile(
             f"{AUTO_MAP_LIMIT}; pass an explicit mapping"
         )
 
-    def score(candidate):
-        mapping, (stages, _) = candidate
-        final = stages[-1][1]
-        return final.gate_counts()["cx"], final.depth(), mapping.physical
+    ops = [(g.kind, g.qubits, g.theta) for g in circuit.gates]
+    scores: dict[tuple, tuple[int, int]] = {}  # key -> (final cx, final depth)
+
+    def score(physical):
+        key = _routed_key(ops, physical, graph.routes)
+        if key not in scores:
+            final = rewrite_to_device(Circuit(graph.num_qubits, [Gate(*op) for op in key]))
+            if opt:
+                final, _ = optimize(final)
+            scores[key] = final.gate_counts()["cx"], final.depth()
+        return (*scores[key], physical)
 
     perms = itertools.permutations(range(graph.num_qubits), circuit.width)
-    candidates = ((m, _stages(circuit, graph, m, opt)) for m in map(QubitMapping, perms))
-    best, (stages, sweeps) = min(candidates, key=score)
-    return _report(stages, sweeps, best, graph)
+    best = QubitMapping(min(perms, key=score))
+    return _report(*_stages(circuit, graph, best, opt), best, graph)

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._streams import fill_uniform
-from .circuit import CX, Circuit, Gate
+from .circuit import CX, Circuit, Gate, serialize
 from .classical import min_external_path_length, verify_optimality
 from .noise import NoiseProfile, estimate_asp, exact_asp
 from .oracle import Query, SecretString, f, oracle_diagonal
@@ -23,7 +23,9 @@ from .statevector import _equal_up_to_phase, simulate
 from .synth import build_full_circuit, synth_diagonal
 from .transpile import (
     CouplingGraph,
-    _route_gates,
+    QubitMapping,
+    _report,
+    _stages,
     check_legal,
     optimize,
     rewrite_to_device,
@@ -245,6 +247,7 @@ def suite_transpile() -> list[CheckResult]:
     rows.append(CheckResult("demo instances transpile legal and recover", ok, "12 instances"))
     rows.append(budget_row)
     rows.append(_routing_row())
+    rows.append(_keyed_search_row())
 
     rng = np.random.default_rng(5)
     sound = idempotent = shrinking = True
@@ -275,12 +278,11 @@ def _routing_row() -> CheckResult:
     pairs = 0
     for graph in (CouplingGraph.quito(), CouplingGraph.linear(7)):
         width = graph.num_qubits
-        for a, b in itertools.permutations(range(width), 2):
-            path = graph.shortest_path(a, b)
-            d = len(path) - 1
+        for (a, b), ladders in graph.routes.items():
+            d = len(graph.shortest_path(a, b)) - 1
             expected = Circuit(width, [CX(a + 1, b + 1)]).unitary()
-            for variant in (0, 1):
-                fragment = Circuit(width, _route_gates(path, variant))
+            for ladder in ladders:
+                fragment = Circuit(width, ladder)
                 ok &= check_legal(fragment, graph) == (True, True)
                 ok &= len(fragment) == (1 if d == 1 else 4 * (d - 1))
                 ok &= bool(np.allclose(fragment.unitary(), expected))
@@ -289,6 +291,33 @@ def _routing_row() -> CheckResult:
         "routed CX on every pair of quito and a 7-line: legal, equal to CX, 4(d-1) CNOTs",
         ok,
         f"{pairs} ordered pairs, both expansion orders",
+    )
+
+
+def _keyed_search_row() -> CheckResult:
+    """The auto-map search compiles one mapping per relabelled routed
+    circuit; compiling every mapping must pick the same mapping, final
+    circuit and report."""
+    quito = CouplingGraph.quito()
+    ok = True
+    for text in ("01", "101"):
+        circuit = build_full_circuit(SecretString.from_string(text))
+
+        def score(physical):
+            final = _stages(circuit, quito, QubitMapping(physical), True)[0][-1][1]
+            return final.gate_counts()["cx"], final.depth(), physical
+
+        perms = itertools.permutations(range(quito.num_qubits), circuit.width)
+        best = QubitMapping(min(perms, key=score))
+        want_final, want_report = _report(*_stages(circuit, quito, best, True), best, quito)
+        final, report = transpile(circuit, quito)
+        ok &= report.mapping == best.physical
+        ok &= serialize(final) == serialize(want_final)
+        ok &= report.to_dict() == want_report.to_dict()
+    return CheckResult(
+        "auto-map keyed search equals exhaustive search",
+        ok,
+        "s=01 and s=101 onto quito, 60 and 120 mappings",
     )
 
 

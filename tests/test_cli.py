@@ -169,8 +169,10 @@ class TestTranspile:
         broken = tmp_path / "broken.qasm"
         broken.write_text("OPENQASM 2.0;\nnot a circuit\n")
         code = main(["transpile", "--in", str(broken), "--target", "linear3"])
-        _, err = capsys.readouterr().out, capsys.readouterr().err
-        assert code == 1
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("transpile: parse failure") and captured.err.count("\n") == 1
 
     def test_unwritable_out_fails_cleanly(self, capsys, circuit_file, tmp_path):
         code = main([

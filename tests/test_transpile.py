@@ -22,11 +22,12 @@ from lcplearn import (
     optimize,
     rewrite_to_device,
     route_cnot,
+    serialize,
     simulate,
     transpile,
 )
 from lcplearn.oracle import Query, f
-from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _route_gates, _route_pass, check_legal
+from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _report, _route_pass, _stages, check_legal
 from lcplearn.verify import _recovers_secret
 
 # the package attribute `lcplearn.transpile` is the function, not the module
@@ -65,14 +66,15 @@ def assert_every_pair_routes_as_a_ladder(graph):
     CNOTs only, 4(d - 1) of them at distance d >= 2, the exact CX
     unitary; variant 1 is variant 0 reversed."""
     width = graph.num_qubits
-    for a, b in itertools.permutations(range(width), 2):
+    assert set(graph.routes) == set(itertools.permutations(range(width), 2))
+    for (a, b), ladders in graph.routes.items():
         path = graph.shortest_path(a, b)
         d = len(path) - 1
-        assert list(route_cnot(a, b, graph).gates) == _route_gates(path, 0)
-        assert _route_gates(path, 1) == _route_gates(path, 0)[::-1]
+        assert route_cnot(a, b, graph).gates == ladders[0]
+        assert ladders[1] == ladders[0][::-1]
         expected = Circuit(width, [CX(a + 1, b + 1)]).unitary()
-        for variant in (0, 1):
-            routed = Circuit(width, _route_gates(path, variant))
+        for ladder in ladders:
+            routed = Circuit(width, ladder)
             assert len(routed) == (1 if d == 1 else 4 * (d - 1))
             assert check_legal(routed, graph) == (True, True)
             assert np.allclose(routed.unitary(), expected)
@@ -408,12 +410,36 @@ class TestMappingSearch:
 
     def test_search_over_the_limit_refused_before_compiling(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("a candidate was compiled")
+            raise AssertionError("a candidate was routed or compiled")
 
         monkeypatch.setattr(transpile_module, "_stages", fail)
+        monkeypatch.setattr(transpile_module, "_routed_key", fail)
         assert math.perm(27, 4) > AUTO_MAP_LIMIT
         with pytest.raises(ValueError, match="explicit mapping"):
             transpile(Circuit(4, [CX(1, 4)]), CouplingGraph.linear(27))
+
+    @pytest.mark.parametrize("circuit,graph", [
+        (build_full_circuit(SecretString.from_string("01")), QUITO),
+        (build_full_circuit(SecretString.from_string("101")), QUITO),
+        (build_full_circuit(SecretString.from_string("110")), RING6),
+        (random_circuit(np.random.default_rng(22), 3, 40), CouplingGraph.linear(5)),
+    ], ids=["quito-01", "quito-101", "ring6-110", "line5-random"])
+    @pytest.mark.parametrize("opt", [True, False])
+    def test_keyed_search_equals_exhaustive_search(self, circuit, graph, opt):
+        """Compiling one mapping per relabelled routed circuit picks the
+        same mapping, circuit and report as compiling every mapping."""
+
+        def score(physical):
+            final = _stages(circuit, graph, QubitMapping(physical), opt)[0][-1][1]
+            return final.gate_counts()["cx"], final.depth(), physical
+
+        perms = itertools.permutations(range(graph.num_qubits), circuit.width)
+        best = QubitMapping(min(perms, key=score))
+        want_final, want_report = _report(*_stages(circuit, graph, best, opt), best, graph)
+        final, report = transpile(circuit, graph, opt=opt)
+        assert report.mapping == best.physical
+        assert serialize(final) == serialize(want_final)
+        assert report.to_dict() == want_report.to_dict()
 
     def test_search_within_the_limit_accepted(self):
         _, report = transpile(Circuit(4, [CX(1, 2), CX(3, 4)]), CouplingGraph.linear(6))
