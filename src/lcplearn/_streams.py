@@ -1,16 +1,29 @@
-"""The noise replay's per-shot random streams, all shots of a block at once.
+"""The noise replay's per-shot random streams, chosen columns of a block
+of shots at once.
 
-Row i of `fill_uniform(out, base, start)` is, bit for bit,
-``np.random.default_rng((*base, start + i)).random(out.shape[1])``.
+Entry (i, j) of `fill_uniform(out, base, shots, columns)` is, bit for bit,
+``np.random.default_rng((*base, shots[i])).random(columns[j] + 1)[-1]``.
 numpy's SeedSequence (O'Neill's seed_seq_fe with a pool of four 32-bit
 words) turns the entropy words into a PCG64 seed and increment, PCG64
 steps a 128-bit LCG and emits XSL-RR outputs, and Generator.random keeps
 the top 53 bits of each.  The same wrapping uint32/uint64 arithmetic runs
 here on arrays whose lanes are the shots, so a block costs a fixed number
-of numpy calls instead of one generator per shot.  (M. E. O'Neill, PCG: A
-Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-Random Number Generation, HMC-CS-2014-0905.)
+of numpy calls per column instead of one generator per shot.  (M. E.
+O'Neill, PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation, HMC-CS-2014-0905.)
+
+Only the requested columns are computed.  The LCG state m steps ahead is
+A^m s + C_m inc mod 2^128 with C_m = 1 + A + ... + A^(m-1), and both
+constants come from square-and-multiply on Python ints (F. B. Brown,
+"Random Number Generation with Arbitrary Strides", Trans. Am. Nucl. Soc.
+71, 1994).  Adjacent columns cost one step each and a gap between columns
+costs two 128-bit multiplies, however long it is.  On a 2-core Xeon VM a
+1024-shot block of one column takes 0.34–0.41 ms, the 33 columns of a
+quito demo circuit under the quito profile 2.3–2.9 ms, and all 60 columns
+of its stream 4.4–4.8 ms.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +39,7 @@ _XSHIFT = _U32(16)
 _POOL_SIZE = 4
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_MULT_LO_0, _MULT_LO_1 = _U64(_PCG_MULT & 0xFFFFFFFF), _U64((_PCG_MULT >> 32) & 0xFFFFFFFF)
+_MOD = 1 << 128
 _LOW32 = _U64(0xFFFFFFFF)
 _ONE, _S11, _S32, _S58, _S63, _S64 = (_U64(k) for k in (1, 11, 32, 58, 63, 64))
 
@@ -82,39 +94,87 @@ def _generate_state(pool: list) -> list:
     return [words[2 * j] | (words[2 * j + 1] << _S32) for j in range(_POOL_SIZE)]
 
 
+@lru_cache(maxsize=256)
+def _jump(m: int) -> tuple:
+    """(A^m, C_m) mod 2^128 for PCG64's multiplier A, so that m LCG steps
+    take a state s to A^m s + C_m inc; square-and-multiply over m's bits."""
+    mult, plus = 1, 0
+    square, square_plus = _PCG_MULT, 1
+    while m:
+        if m & 1:
+            mult, plus = mult * square % _MOD, (plus * square + square_plus) % _MOD
+        square, square_plus = square * square % _MOD, (square + 1) * square_plus % _MOD
+        m >>= 1
+    return mult, plus
+
+
+@lru_cache(maxsize=256)
+def _limbs(c: int) -> tuple:
+    """A 128-bit constant as the uint64 words _mul takes: high, low, and
+    the low word's two 32-bit halves."""
+    lo = c & 0xFFFFFFFFFFFFFFFF
+    return _U64(c >> 64), _U64(lo), _U64(lo & 0xFFFFFFFF), _U64(lo >> 32)
+
+
 def _add128(hi, lo, b_hi, b_lo):
     lo = lo + b_lo
     return hi + b_hi + (lo < b_lo), lo
 
 
-def _step(hi, lo, inc_hi, inc_lo):
-    """state * _PCG_MULT + inc mod 2^128; the high half of lo * _MULT_LO
-    comes from 32-bit limbs."""
+def _mul(hi, lo, c: int):
+    """(hi, lo) * c mod 2^128; the high half of lo * c's low word comes
+    from 32-bit limbs."""
+    c_hi, c_lo, c_lo_0, c_lo_1 = _limbs(c)
     a0, a1 = lo & _LOW32, lo >> _S32
-    p00, p01 = a0 * _MULT_LO_0, a0 * _MULT_LO_1
-    p10, p11 = a1 * _MULT_LO_0, a1 * _MULT_LO_1
+    p00, p01 = a0 * c_lo_0, a0 * c_lo_1
+    p10, p11 = a1 * c_lo_0, a1 * c_lo_1
     mid = (p00 >> _S32) + (p01 & _LOW32) + (p10 & _LOW32)
     carry = p11 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-    return _add128(hi * _MULT_LO + lo * _MULT_HI + carry, lo * _MULT_LO, inc_hi, inc_lo)
+    return hi * c_lo + lo * c_hi + carry, lo * c_lo
 
 
-def fill_uniform(out: np.ndarray, base: tuple, start: int) -> np.ndarray:
-    """Fill row i of the float64 array `out` with the first out.shape[1]
-    doubles of default_rng((*base, start + i)); return `out`."""
-    rows, draws = out.shape
-    if start < 0 or start + rows > MAX_SHOTS:
+def _check_columns(columns) -> list:
+    columns = [int(c) for c in columns]
+    if columns and columns[0] < 0:
+        raise ValueError(f"stream columns must be non-negative, got {columns[0]}")
+    for a, b in zip(columns, columns[1:]):
+        if b <= a:
+            raise ValueError(f"stream columns must be strictly increasing, got {a} then {b}")
+    return columns
+
+
+def fill_uniform(out: np.ndarray, base: tuple, shots, columns) -> np.ndarray:
+    """Fill `out[i, j]` with double number columns[j] (from 0) of
+    default_rng((*base, shots[i])); return `out`.
+
+    `shots` is a 1-D integer array of shot indices in 0..2^32-1, in any
+    order; `columns` is a strictly increasing sequence of non-negative
+    ints.  Adjacent columns are stepped to and gaps are jumped across, so
+    a gap-free set from 0 is the sequential stream.
+    """
+    shots = np.asarray(shots)
+    columns = _check_columns(columns)
+    if shots.ndim != 1 or (shots.size and shots.dtype.kind not in "iu"):
+        raise ValueError("shot indices must be a 1-D integer array")
+    if shots.size and (shots.min() < 0 or shots.max() >= MAX_SHOTS):
         raise ValueError(f"shot indices must lie in 0..{MAX_SHOTS - 1}")
+    if out.shape != (len(shots), len(columns)):
+        raise ValueError(f"out has shape {out.shape}, expected {(len(shots), len(columns))}")
     entropy = [w for n in base for w in _entropy_words(n)]
-    entropy.append(np.arange(start, start + rows, dtype=_U64).astype(_U32))
+    entropy.append(shots.astype(_U32))
     with np.errstate(over="ignore"):
         w0, w1, w2, w3 = _generate_state(_pool(entropy))
         # pcg64_set_seed: initstate = (w0, w1), inc = (w2, w3) << 1 | 1, then
-        # state = 0; step; state += initstate; step
+        # state = 0; step; state += initstate; step.  Column j is output by
+        # the state j + 1 steps after that, j + 2 steps after inc + initstate.
         inc_hi, inc_lo = (w2 << _ONE) | (w3 >> _S63), (w3 << _ONE) | _ONE
         hi, lo = _add128(inc_hi, inc_lo, w0, w1)
-        hi, lo = _step(hi, lo, inc_hi, inc_lo)
-        for j in range(draws):
-            hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        position = -2
+        for j, column in enumerate(columns):
+            mult, plus = _jump(column - position)
+            position = column
+            step_hi, step_lo = (inc_hi, inc_lo) if plus == 1 else _mul(inc_hi, inc_lo, plus)
+            hi, lo = _add128(*_mul(hi, lo, mult), step_hi, step_lo)
             x, rot = hi ^ lo, hi >> _S58
             x = (x >> rot) | (x << ((_S64 - rot) & _S63))
             out[:, j] = x >> _S11

@@ -387,7 +387,7 @@ def suite_noise() -> list[CheckResult]:
 
     # the replay's vectorized streams against the installed numpy, whose
     # SeedSequence, PCG64 and Generator.random define them
-    streams = fill_uniform(np.empty((64, 61)), (99, 0), 0)
+    streams = fill_uniform(np.empty((64, 61)), (99, 0), np.arange(64), range(61))
     same = all(
         np.array_equal(row, np.random.default_rng((99, 0, k)).random(61))
         for k, row in enumerate(streams)
@@ -395,6 +395,22 @@ def suite_noise() -> list[CheckResult]:
     rows.append(
         CheckResult(
             "shot streams equal numpy default_rng", same, f"64 shots x 61 draws, numpy {np.__version__}"
+        )
+    )
+    # the replay draws only some columns, jumping the LCG across the gaps:
+    # the first column alone, a lone far one, gaps of 1 and of more than 64
+    shots = np.array([2**32 - 1, 0, 2**31, 7, 51_000])
+    column_sets = ([0], [5000], [0, 2, 3], [0, 1, 2, 70, 71], [3, 5, 6, 7, 140, 141, 300])
+    same = all(
+        np.array_equal(row, np.random.default_rng((99, 1, int(k))).random(columns[-1] + 1)[columns])
+        for columns in column_sets
+        for k, row in zip(shots, fill_uniform(np.empty((len(shots), len(columns))), (99, 1), shots, columns))
+    )
+    rows.append(
+        CheckResult(
+            "gapped stream columns equal numpy default_rng",
+            same,
+            f"{len(column_sets)} column sets x {len(shots)} scattered shots, numpy {np.__version__}",
         )
     )
 

@@ -279,8 +279,19 @@ class TestAsp:
             '{"readout_error": 5}',
             '{"cx_error": {"0-1": null}, "readout_error": [0.04, 0.04, 0.07, 0.03, 0.04]}',
             '{"readout_error": [0.04, 0.04, 0.07, 0.03, 0.04], "sq_error": [0.001]}',
+            '{"cx_error": {"0-9": 0.5}, "readout_error": [0.04, 0.04, 0.07, 0.03, 0.04]}',
+            '{"cx_error": {"2-2": 0.5}, "readout_error": [0.04, 0.04, 0.07, 0.03, 0.04]}',
+            '{"cx_error": {"1-0": 0.5, "0-1": 0.1}, "readout_error": [0.04, 0.04, 0.07, 0.03, 0.04]}',
         ],
-        ids=["not-an-object", "readout-not-a-list", "null-cx-probability", "sq-shorter-than-readout"],
+        ids=[
+            "not-an-object",
+            "readout-not-a-list",
+            "null-cx-probability",
+            "sq-shorter-than-readout",
+            "cx-qubit-out-of-range",
+            "cx-self-pair",
+            "cx-pair-given-twice",
+        ],
     )
     def test_malformed_noise_json_is_refused_in_one_line(self, capsys, tmp_path, document):
         noise = tmp_path / "bad.json"

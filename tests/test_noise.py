@@ -19,7 +19,7 @@ from lcplearn import (
     run_noisy,
     simulate,
 )
-from lcplearn import noise
+from lcplearn import _streams, noise
 from lcplearn._streams import MAX_SHOTS, fill_uniform
 from lcplearn.noise import _BLOCK_SHOTS, _seed_tuple, _transpiled, exact_distribution
 from lcplearn.transpile import CouplingGraph
@@ -182,6 +182,9 @@ class TestNoiseProfile:
             {"readout_error": [0.1, 0.1], "sq_error": [0.1]},
             {"readout_error": [0.1, 0.1], "cx_default": None},
             {"cx_error": {}},
+            {"cx_error": {"0-9": 0.5}, "readout_error": [0.1] * 5},
+            {"cx_error": {"2-2": 0.5}, "readout_error": [0.1] * 5},
+            {"cx_error": {"1-0": 0.5, "0-1": 0.1}, "readout_error": [0.1] * 5},
         ],
     )
     def test_from_dict_rejects_wrong_types(self, data):
@@ -282,6 +285,43 @@ class TestBitIdentity:
         profile = NoiseProfile.uniform(2, cx=0.2, readout=0.05, sq=0.02)
         expected = _reference_run_noisy(bell_circuit(), profile, shots, seed=0)
         assert run_noisy(bell_circuit(), profile, shots, seed=0) == expected
+
+    @staticmethod
+    def _mixed_profiles(circuit):
+        """Profiles that zero some error families and keep others, and one
+        with a certain error on an edge the circuit uses."""
+        quito = NoiseProfile.quito()
+        zeros = (0.0,) * 5
+        cx = next(g for g in circuit.gates if g.kind == "cx")
+        edge = (cx.qubits[0] - 1, cx.qubits[1] - 1)
+        return {
+            "cx-only": NoiseProfile(quito.cx_error, zeros, zeros),
+            "readout-only": NoiseProfile({}, (0.2, 0.0, 0.3, 0.0, 0.1), zeros),
+            "sq-only": NoiseProfile({}, zeros, quito.scaled(sq=50).single_qubit_error),
+            "one-certain-edge": NoiseProfile({edge: 1.0}, quito.readout_error, zeros),
+        }
+
+    @pytest.mark.parametrize("kind", ["cx-only", "readout-only", "sq-only", "one-certain-edge"])
+    @pytest.mark.parametrize("secret", ["01", "110"])
+    def test_profiles_mixing_zero_and_nonzero_rates_match_reference(self, secret, kind):
+        circuit, _ = _transpiled(secret, CouplingGraph.quito())
+        profile = self._mixed_profiles(circuit)[kind]
+        expected = _reference_run_noisy(circuit, profile, 1031, seed=(5, 2))
+        assert run_noisy(circuit, profile, 1031, seed=(5, 2)) == expected
+
+    def test_zero_noise_draws_only_the_measurement_column(self, monkeypatch):
+        circuit, _ = _transpiled("101", CouplingGraph.quito())
+        calls = []
+
+        def spy(out, base, shots, columns):
+            calls.append((len(shots), list(columns)))
+            return fill_uniform(out, base, shots, columns)
+
+        monkeypatch.setattr(_streams, "fill_uniform", spy)
+        shots = 2 * _BLOCK_SHOTS + 5
+        run_noisy(circuit, NoiseProfile.zero(5), shots, seed=4)
+        assert {tuple(columns) for _, columns in calls} == {(2 * len(circuit.gates),)}
+        assert sum(rows for rows, _ in calls) == shots
 
     def test_seeded_asp_trials_unchanged(self):
         """Counts of the per-shot replay, recorded before the rewrite."""
@@ -388,13 +428,60 @@ class TestStreams:
     @pytest.mark.parametrize("base", [(0,), (3, 0), (2**31 - 1, 4), (2**40 + 5, 7), (1, 2, 3)])
     def test_rows_equal_default_rng(self, base, shot, m):
         rows = min(3, MAX_SHOTS - shot)
-        out = fill_uniform(np.empty((rows, m)), base, shot)
+        out = fill_uniform(np.empty((rows, m)), base, np.arange(shot, shot + rows), range(m))
         for i in range(rows):
             assert np.array_equal(out[i], np.random.default_rng((*base, shot + i)).random(m))
 
     def test_shot_index_past_32_bits_rejected(self):
         with pytest.raises(ValueError):
-            fill_uniform(np.empty((2, 1)), (0,), MAX_SHOTS - 1)
+            fill_uniform(np.empty((2, 1)), (0,), np.array([MAX_SHOTS - 1, MAX_SHOTS]), [0])
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[0], [59], [5000], [0, 2, 3], [0, 1, 2, 70, 71], [3, 5, 6, 7, 140, 141, 300]],
+        ids=["first", "last-of-61", "lone-far", "gap-1", "gap-over-64", "mixed"],
+    )
+    @pytest.mark.parametrize(
+        "shots",
+        [[0], [2**31], [2**32 - 1], [2**32 - 1, 0, 2**31, 7], [900, 3, 3, 51_000, 1]],
+        ids=["0", "2^31", "2^32-1", "scattered", "unsorted-repeated"],
+    )
+    @pytest.mark.parametrize("base", [(0,), (2**40 + 5, 7)])
+    def test_gapped_columns_equal_default_rng(self, base, shots, columns):
+        out = fill_uniform(np.empty((len(shots), len(columns))), base, np.array(shots), columns)
+        for row, shot in zip(out, shots):
+            stream = np.random.default_rng((*base, shot)).random(columns[-1] + 1)
+            assert np.array_equal(row, stream[columns])
+
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 10**5])
+    def test_jump_constants_equal_plain_steps(self, m):
+        rng = np.random.default_rng(m)
+        state, inc = (int(rng.integers(2**62)) << 66 | int(rng.integers(2**62)) for _ in range(2))
+        inc |= 1
+        stepped = state
+        for _ in range(m):
+            stepped = (stepped * _streams._PCG_MULT + inc) % 2**128
+        mult, plus = _streams._jump(m)
+        assert (mult * state + plus * inc) % 2**128 == stepped
+
+    @pytest.mark.parametrize(
+        "shots, columns",
+        [
+            ([0, 1], [3, 2]),
+            ([0, 1], [2, 2]),
+            ([0, 1], [-1, 2]),
+            ([0, MAX_SHOTS], [0]),
+            ([-1, 0], [0]),
+        ],
+        ids=["unsorted-column", "repeated-column", "negative-column", "shot-2^32", "negative-shot"],
+    )
+    def test_bad_columns_or_shots_rejected_before_any_work(self, monkeypatch, shots, columns):
+        def no_work(entropy):
+            raise AssertionError("seeded streams for a refused request")
+
+        monkeypatch.setattr(_streams, "_pool", no_work)
+        with pytest.raises(ValueError):
+            fill_uniform(np.empty((2, len(columns))), (0,), np.array(shots), columns)
 
     def test_more_than_two_to_the_32_shots_rejected_before_any_work(self, monkeypatch):
         def no_work(circuit):

@@ -34,6 +34,8 @@ def test_noise_suite_all_green():
     assert any("exact density matrix" in r.name for r in rows)
     assert any(r.name == "exact asp strictly decreasing in each error family" for r in rows)
     assert any(r.name == "shot streams equal numpy default_rng" for r in rows)
+    gapped = next(r for r in rows if r.name == "gapped stream columns equal numpy default_rng")
+    assert gapped.detail.startswith("5 column sets x 5 scattered shots")
 
 
 def test_run_suites_respects_selection():
