@@ -1,14 +1,16 @@
 """The noise replay's per-shot random streams, chosen columns of a block
 of shots at once.
 
-Entry (i, j) of `fill_uniform(out, base, shots, columns)` is, bit for bit,
-``np.random.default_rng((*base, shots[i])).random(columns[j] + 1)[-1]``.
-numpy's SeedSequence (O'Neill's seed_seq_fe with a pool of four 32-bit
-words) turns the entropy words into a PCG64 seed and increment, PCG64
-steps a 128-bit LCG and emits XSL-RR outputs, and Generator.random keeps
-the top 53 bits of each.  The same wrapping uint32/uint64 arithmetic runs
-here on arrays whose lanes are the shots, so a block costs a fixed number
-of numpy calls per column instead of one generator per shot.  (M. E.
+Item j of `iter_uniform(base, shots, columns)` is the column whose entry
+i is, bit for bit,
+``np.random.default_rng((*base, shots[i])).random(columns[j] + 1)[-1]``;
+`fill_uniform` writes the same columns into a matrix.  numpy's
+SeedSequence (O'Neill's seed_seq_fe with a pool of four 32-bit words)
+turns the entropy words into a PCG64 seed and increment, PCG64 steps a
+128-bit LCG and emits XSL-RR outputs, and Generator.random keeps the top
+53 bits of each.  The same wrapping uint32/uint64 arithmetic runs here
+on arrays whose lanes are the shots, so a block costs a fixed number of
+numpy calls per column instead of one generator per shot.  (M. E.
 O'Neill, PCG: A Family of Simple Fast Space-Efficient Statistically Good
 Algorithms for Random Number Generation, HMC-CS-2014-0905.)
 
@@ -17,10 +19,11 @@ A^m s + C_m inc mod 2^128 with C_m = 1 + A + ... + A^(m-1), and both
 constants come from square-and-multiply on Python ints (F. B. Brown,
 "Random Number Generation with Arbitrary Strides", Trans. Am. Nucl. Soc.
 71, 1994).  Adjacent columns cost one step each and a gap between columns
-costs two 128-bit multiplies, however long it is.  On a 2-core Xeon VM a
-1024-shot block of one column takes 0.34–0.41 ms, the 33 columns of a
-quito demo circuit under the quito profile 2.3–2.9 ms, and all 60 columns
-of its stream 4.4–4.8 ms.
+costs two 128-bit multiplies, however long it is.  The steps run in
+place on a fixed set of arrays; only each column's output is a new
+array.  On a 2-core Xeon VM an 8192-shot block of one column takes
+0.5–1.1 ms, the 33 columns of a quito demo circuit under the quito
+profile 4.0–6.0 ms, and all 60 columns of its stream 6.9–10.8 ms.
 """
 
 from functools import lru_cache
@@ -116,21 +119,58 @@ def _limbs(c: int) -> tuple:
     return _U64(c >> 64), _U64(lo), _U64(lo & 0xFFFFFFFF), _U64(lo >> 32)
 
 
-def _add128(hi, lo, b_hi, b_lo):
-    lo = lo + b_lo
-    return hi + b_hi + (lo < b_lo), lo
+def _add128(hi, lo, b_hi, b_lo, carry) -> None:
+    """(hi, lo) += (b_hi, b_lo) mod 2^128 in place; `carry` is bool scratch."""
+    np.add(lo, b_lo, lo)
+    np.less(lo, b_lo, carry)
+    np.add(hi, b_hi, hi)
+    np.add(hi, carry, hi)
 
 
-def _mul(hi, lo, c: int):
-    """(hi, lo) * c mod 2^128; the high half of lo * c's low word comes
-    from 32-bit limbs."""
-    c_hi, c_lo, c_lo_0, c_lo_1 = _limbs(c)
-    a0, a1 = lo & _LOW32, lo >> _S32
-    p00, p01 = a0 * c_lo_0, a0 * c_lo_1
-    p10, p11 = a1 * c_lo_0, a1 * c_lo_1
-    mid = (p00 >> _S32) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry = p11 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-    return hi * c_lo + lo * c_hi + carry, lo * c_lo
+def _mul(hi, lo, c: int, scratch: list) -> None:
+    """(hi, lo) *= c mod 2^128 in place, with four uint64 scratch arrays.
+
+    The high word of lo * c_lo comes from 32-bit limbs: with a = lo and
+    b = c_lo split into halves, t = (a0 b0 >> 32) + a1 b0 and
+    u = (t mod 2^32) + a0 b1 cannot overflow, and the high word is
+    a1 b1 + (t >> 32) + (u >> 32).
+    """
+    c_hi, c_lo, b0, b1 = _limbs(c)
+    a0, a1, t, u = scratch
+    np.bitwise_and(lo, _LOW32, a0)
+    np.right_shift(lo, _S32, a1)
+    np.multiply(a0, b0, t)
+    np.right_shift(t, _S32, t)
+    np.multiply(a1, b0, u)
+    np.add(t, u, t)
+    np.bitwise_and(t, _LOW32, u)
+    np.multiply(a0, b1, a0)
+    np.add(u, a0, u)
+    np.right_shift(u, _S32, u)
+    np.right_shift(t, _S32, t)
+    np.add(t, u, t)
+    np.multiply(a1, b1, a1)
+    np.add(t, a1, t)  # the high word of lo * c_lo
+    np.multiply(hi, c_lo, hi)
+    np.multiply(lo, c_hi, u)
+    np.add(hi, u, hi)
+    np.add(hi, t, hi)
+    np.multiply(lo, c_lo, lo)
+
+
+def _output(hi, lo, scratch: list) -> np.ndarray:
+    """XSL-RR of the states, then Generator.random's top 53 bits as a new
+    float64 array."""
+    x, rot, left, _ = scratch
+    np.bitwise_xor(hi, lo, x)
+    np.right_shift(hi, _S58, rot)
+    np.subtract(_S64, rot, left)
+    np.bitwise_and(left, _S63, left)
+    np.left_shift(x, left, left)
+    np.right_shift(x, rot, x)
+    np.bitwise_or(x, left, x)
+    np.right_shift(x, _S11, x)
+    return x * 2.0**-53
 
 
 def _check_columns(columns) -> list:
@@ -143,14 +183,16 @@ def _check_columns(columns) -> list:
     return columns
 
 
-def fill_uniform(out: np.ndarray, base: tuple, shots, columns) -> np.ndarray:
-    """Fill `out[i, j]` with double number columns[j] (from 0) of
-    default_rng((*base, shots[i])); return `out`.
+def iter_uniform(base: tuple, shots, columns):
+    """An iterator over the requested columns of the streams of `shots`:
+    item j is the (len(shots),) float64 array of double number columns[j]
+    (from 0) of default_rng((*base, shot)) for each shot.
 
     `shots` is a 1-D integer array of shot indices in 0..2^32-1, in any
     order; `columns` is a strictly increasing sequence of non-negative
-    ints.  Adjacent columns are stepped to and gaps are jumped across, so
-    a gap-free set from 0 is the sequential stream.
+    ints.  Both are checked here, before any seeding; the shots are seeded
+    once, on the first item.  Adjacent columns are stepped to and gaps are
+    jumped across, so a gap-free set from 0 is the sequential stream.
     """
     shots = np.asarray(shots)
     columns = _check_columns(columns)
@@ -158,25 +200,54 @@ def fill_uniform(out: np.ndarray, base: tuple, shots, columns) -> np.ndarray:
         raise ValueError("shot indices must be a 1-D integer array")
     if shots.size and (shots.min() < 0 or shots.max() >= MAX_SHOTS):
         raise ValueError(f"shot indices must lie in 0..{MAX_SHOTS - 1}")
-    if out.shape != (len(shots), len(columns)):
-        raise ValueError(f"out has shape {out.shape}, expected {(len(shots), len(columns))}")
     entropy = [w for n in base for w in _entropy_words(n)]
     entropy.append(shots.astype(_U32))
+    return _columns(entropy, columns)
+
+
+def _columns(entropy: list, columns: list):
+    hi, lo, inc_hi, inc_lo = _seed(entropy)
+    # every step works in place: with a fresh array per operation the 33
+    # columns of an 8192-shot quito block took 11-13 ms instead of 5-6 ms
+    scratch = [np.empty_like(lo) for _ in range(4)]
+    step_hi, step_lo = np.empty_like(lo), np.empty_like(lo)
+    carry = np.empty(lo.shape, dtype=bool)
+    position = -2
+    for column in columns:
+        mult, plus = _jump(column - position)
+        position = column
+        _mul(hi, lo, mult, scratch)
+        if plus == 1:
+            _add128(hi, lo, inc_hi, inc_lo, carry)
+        else:
+            np.copyto(step_hi, inc_hi)
+            np.copyto(step_lo, inc_lo)
+            _mul(step_hi, step_lo, plus, scratch)
+            _add128(hi, lo, step_hi, step_lo, carry)
+        yield _output(hi, lo, scratch)
+
+
+def _seed(entropy: list) -> tuple:
+    """pcg64_set_seed: initstate = (w0, w1), inc = (w2, w3) << 1 | 1, then
+    state = 0; step; state += initstate; step.  Returns the state
+    inc + initstate, whose column j is output j + 2 steps on, and inc.
+    Array arithmetic wraps without a warning; the scalar words would warn."""
     with np.errstate(over="ignore"):
         w0, w1, w2, w3 = _generate_state(_pool(entropy))
-        # pcg64_set_seed: initstate = (w0, w1), inc = (w2, w3) << 1 | 1, then
-        # state = 0; step; state += initstate; step.  Column j is output by
-        # the state j + 1 steps after that, j + 2 steps after inc + initstate.
-        inc_hi, inc_lo = (w2 << _ONE) | (w3 >> _S63), (w3 << _ONE) | _ONE
-        hi, lo = _add128(inc_hi, inc_lo, w0, w1)
-        position = -2
-        for j, column in enumerate(columns):
-            mult, plus = _jump(column - position)
-            position = column
-            step_hi, step_lo = (inc_hi, inc_lo) if plus == 1 else _mul(inc_hi, inc_lo, plus)
-            hi, lo = _add128(*_mul(hi, lo, mult), step_hi, step_lo)
-            x, rot = hi ^ lo, hi >> _S58
-            x = (x >> rot) | (x << ((_S64 - rot) & _S63))
-            out[:, j] = x >> _S11
-    out *= 2.0**-53
+    inc_hi, inc_lo = (w2 << _ONE) | (w3 >> _S63), (w3 << _ONE) | _ONE
+    _add128(w0, w1, inc_hi, inc_lo, np.empty(w1.shape, dtype=bool))
+    return w0, w1, inc_hi, inc_lo
+
+
+def fill_uniform(out: np.ndarray, base: tuple, shots, columns) -> np.ndarray:
+    """Fill `out[i, j]` with double number columns[j] (from 0) of
+    default_rng((*base, shots[i])); return `out`.  The arguments are those
+    of `iter_uniform`, and `out` has shape (len(shots), len(columns)).
+    """
+    columns = _check_columns(columns)
+    draws = iter_uniform(base, shots, columns)
+    if out.shape != (len(shots), len(columns)):
+        raise ValueError(f"out has shape {out.shape}, expected {(len(shots), len(columns))}")
+    for j, column in enumerate(draws):
+        out[:, j] = column
     return out

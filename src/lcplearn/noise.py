@@ -13,18 +13,21 @@ deciding whether its error fires, one per gate choosing the Pauli, one
 for the measurement, one per readout bit.  Scaling an error rate under a
 common seed therefore only grows the set of fired errors; the
 monotonicity checks rely on this common-random-numbers property.  The
-streams of a block of shots are computed in one vectorized pass that
-reproduces numpy's SeedSequence, PCG64 and Generator.random bit for bit
-(`_streams.fill_uniform`), so no generator is constructed per shot, and
-a shot index is one 32-bit seed word, which caps a call at 2^32 shots.
-A block draws only the stream values that can change an outcome, jumping
-the generator across the rest: the measurement draw, the fire draws of
-gates with a nonzero error rate, the readout draws of qubits with a
-nonzero flip rate, and, in the rows where an error fired, the Pauli
-draws of the gates that fired.  At zero noise that is one value a shot,
-and an 8192-shot trial of a quito demo circuit takes about 5 ms instead
-of 43–47 ms (2-core Xeon VM); under the quito profile it takes 53–61 ms
-instead of 65–71 ms.
+streams of a block of 8192 shots are computed in one vectorized pass
+that reproduces numpy's SeedSequence, PCG64 and Generator.random bit for
+bit (`_streams.iter_uniform`), so no generator is constructed per shot,
+and a shot index is one 32-bit seed word, which caps a call at 2^32
+shots.  A block draws only the stream values that can change an
+outcome, jumping the generator across the rest: the measurement draw,
+the fire draws of gates with a nonzero error rate, the readout draws of
+qubits with a nonzero flip rate, and, in the rows where an error fired,
+the Pauli draws of the gates that fired.  The columns are consumed as
+they are drawn: a fire draw becomes a row of booleans, a readout draw a
+bit of a flip mask, and only the measurement draw is kept as floats.
+At zero noise that is one value a shot, and an 8192-shot trial of a
+quito demo circuit takes 1.5–2.6 ms (2-core Xeon VM, median over the
+12 demo secrets); under the quito profile it takes 10–17 ms, where
+1024-shot blocks took 39–60 ms.
 
 The replay never runs a circuit per shot.  It caches the noiseless
 state after every gate once per call; a shot in which no error fired
@@ -34,12 +37,13 @@ resimulated once per call.  The patterns first seen in a block are
 resimulated together as one (patterns, 2^width) state array, sorted by
 first fault: a row is loaded with the cached state at its first fault,
 each gate is one kernel call on the rows loaded before it, and the rows
-that fault at a gate are gathered by Pauli choice, hit and scattered
-back.  Every amplitude sees the same float operations in the same order
-as a run of its pattern from |0...0>, and later shots reuse the
-pattern's distribution.  The fired gates, clean and faulty outcomes and
-readout flips of a block are found with array operations, so the
-histograms are bit-identical to a per-shot loop.
+that fault at a gate get their Paulis as one gather, an index XOR and a
+unit phase per amplitude.  Every amplitude takes the same values as in
+a run of its pattern from |0...0> (up to the signs of zeros, which no
+probability sees), and later shots reuse the pattern's distribution.
+The fired gates, clean and faulty outcomes and readout flips of a block
+are found with array operations, so the histograms are bit-identical to
+a per-shot loop.
 
 `exact_distribution` and `exact_asp` evolve the density matrix through
 the same channels and give the value the Monte-Carlo estimates sample.
@@ -70,17 +74,25 @@ _PAULIS = (
 # _PAULIS[a] on the control and _PAULIS[b] on the target
 _CX_ERRORS = tuple(np.kron(_PAULIS[c >> 2], _PAULIS[c & 3]) for c in range(1, 16))
 
-# Shots whose random streams are computed at once.  The stream pass costs
-# a fixed number of numpy calls per drawn column whatever the row count,
-# so rows amortize it.  A 1024-row block of a quito demo circuit under the
-# quito profile draws 33 of its 60 columns, 0.27 MB; at zero noise it
-# draws one, 8 KB.
-_BLOCK_SHOTS = 1024
+# Each of _PAULIS moves amplitude b ^ flip of its qubit to b and
+# multiplies it by phase[b], a unit 1, -1, i or -i.
+_PAULI_FLIPS = np.array([int(p[0, 0] == 0) for p in _PAULIS])
+_PAULI_PHASES = np.array([[p[b, b ^ f] for b in (0, 1)] for p, f in zip(_PAULIS, _PAULI_FLIPS)])
+
+# Shots whose random streams are computed at once: one block per 8192-shot
+# trial.  Each block pays a fixed number of numpy calls per drawn column
+# and one gate pass of `_faulty_cdfs`, whatever its row count.  A block
+# never holds its draws as a float matrix: the 33 drawn columns of a quito
+# demo circuit under the quito profile are 27 rows of fire booleans, the
+# measurement draw and a flip mask, 0.35 MB instead of 2.2 MB.
+_BLOCK_SHOTS = 8192
 
 # Amplitudes resimulated at once: a block's new fault patterns are split
 # into chunks of at most this many amplitudes (and at least one row), so a
-# wide circuit cannot allocate without bound.  A 1024-row block of a
-# quito circuit (32 amplitudes a row) is never split.
+# wide circuit cannot allocate without bound.  At quito's width a chunk is
+# 2048 patterns; an 8192-row block of a demo circuit brings about 220
+# under the quito profile and up to about 1500 with its CX rates scaled
+# by 5 and single-qubit rates by 50.
 _BATCH_AMPLITUDES = 1 << 16
 
 
@@ -258,6 +270,41 @@ def _clean_prefixes(circuit: Circuit) -> list[Statevector]:
     return prefixes
 
 
+@lru_cache(maxsize=4)
+def _indices(width: int) -> np.ndarray:
+    return np.arange(1 << width)
+
+
+@lru_cache(maxsize=64)
+def _pauli_gather(width: int, qubits: tuple) -> tuple:
+    """The Pauli choices after a gate on `qubits` of a `width`-qubit
+    register as one gather: choice c moves amplitude i ^ flip[c] to i and
+    multiplies it by phase[c, code[i]], where code[i] holds i's bits on
+    `qubits`, the first qubit highest.  A CX's choice 4a + b is _PAULIS[a]
+    on the control and _PAULIS[b] on the target; its phase is their
+    product, exact for units.  An entry holds a byte per amplitude, a
+    sixteenth of one cached clean state, and the cache is bounded because
+    a wide circuit has many gate positions."""
+    index = _indices(width)
+    flip, phase = np.zeros(1, dtype=np.intp), np.ones((1, 1))
+    code = np.zeros(1 << width, dtype=np.uint8)
+    for q in qubits:
+        bit = width - q
+        flip = (flip[:, None] | (_PAULI_FLIPS << bit)).ravel()
+        phase = np.einsum("cx,dy->cdxy", phase, _PAULI_PHASES).reshape(len(flip), -1)
+        code = 2 * code + ((index >> bit) & 1).astype(np.uint8)
+    return flip, phase, code
+
+
+def _hit(rows: np.ndarray, width: int, qubits: tuple, choice: np.ndarray) -> np.ndarray:
+    """`rows` after the Pauli choice[i] on `qubits` hits row i.  The
+    amplitudes equal those of the kernels applying `_PAULIS`, control
+    before target, up to the signs of zeros."""
+    flip, phase, code = _pauli_gather(width, qubits)
+    perm = np.bitwise_xor.outer(flip[choice], _indices(width))
+    return np.take_along_axis(rows, perm, axis=1) * phase[choice[:, None], code]
+
+
 def _faulty_cdfs(circuit: Circuit, prefixes: list[Statevector], patterns: np.ndarray) -> np.ndarray:
     """Outcome CDFs of the fault patterns `patterns`, one per row: Pauli
     choice patterns[i, k] after gate k, 0 where no error fired.  Each row
@@ -268,8 +315,10 @@ def _faulty_cdfs(circuit: Circuit, prefixes: list[Statevector], patterns: np.nda
     All rows are resimulated together as one (rows, 2^width) array,
     sorted by first fault, so that the rows loaded before gate k are a
     leading slice and gate k is one kernel call on it.  A row is loaded
-    with the cached clean state at its first fault; each amplitude sees
-    the same float operations as a run of its pattern from |0...0>.
+    with the cached clean state at its first fault, and the rows a fault
+    hits at gate k get their Paulis as one gather (`_hit`); each amplitude
+    takes the same value as in a run of its pattern from |0...0>, up to
+    the signs of zeros.
     """
     width = circuit.width
     rows = max(1, _BATCH_AMPLITUDES >> width)
@@ -290,16 +339,9 @@ def _faulty_cdfs(circuit: Circuit, prefixes: list[Statevector], patterns: np.nda
         end = bisect_right(firsts, k)
         states[loaded:end] = prefixes[k + 1].amps
         loaded = end
-        column = faults[:loaded, k]
-        for choice in set(column.tolist()) - {0}:
-            at = np.flatnonzero(column == choice)
-            group = states[at]
-            control, target = divmod(choice, 4) if len(qubits) == 2 else (choice, 0)
-            if control:
-                kernels.apply_unitary(group, width, qubits[:1], _PAULIS[control])
-            if target:
-                kernels.apply_unitary(group, width, qubits[1:], _PAULIS[target])
-            states[at] = group
+        at = np.flatnonzero(faults[:loaded, k])
+        if len(at):
+            states[at] = _hit(states[at], width, qubits, faults[at, k])
     cums = np.cumsum(np.abs(states) ** 2, axis=1)
     cums[:, -1] = 1.0
     out = np.empty_like(cums)
@@ -354,19 +396,28 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     live_prob = site_prob[live]
     flip_prob, flip_value = readout[flips], bit_value[flips]
 
-    draws = np.empty((min(shots, _BLOCK_SHOTS), len(columns)))
     totals = np.zeros(1 << width, dtype=np.int64)
-    for start in range(0, shots, len(draws)):
-        block = draws[: min(len(draws), shots - start)]
-        _streams.fill_uniform(block, base, np.arange(start, start + len(block)), columns)
-        meas_u = block[:, len(live)]
+    for start in range(0, shots, _BLOCK_SHOTS):
+        rows = min(_BLOCK_SHOTS, shots - start)
+        # the drawn columns, in stream order, are consumed as they come:
+        # fire draws become booleans, readout draws bits of a flip mask.
+        # `draws` goes last in the fire loop, which so stops before the
+        # measurement column, and first in the readout loop, which so runs
+        # it to its end and frees its work arrays.
+        draws = _streams.iter_uniform(base, np.arange(start, start + rows), columns)
+        fires = np.empty((len(live), rows), dtype=bool)
+        for row, p, u in zip(fires, live_prob, draws):
+            np.less(u, p, out=row)
+        meas_u = next(draws)
+        flip_mask = np.zeros(rows, dtype=np.int64)
+        for u, p, value in zip(draws, flip_prob, flip_value):
+            flip_mask[u < p] ^= value
 
-        fires = block[:, : len(live)] < live_prob
         outcomes = np.searchsorted(clean_cum, meas_u, side="right")
-        fired = np.flatnonzero(fires.any(axis=1))
+        fired = np.flatnonzero(fires.any(axis=0))
         if len(fired):
             # Pauli draws only in these rows, at the sites that fired in one
-            hit = fires[fired]
+            hit = fires[:, fired].T
             struck = hit.any(axis=0)
             sites = live[struck]
             pick_u = _streams.fill_uniform(
@@ -385,7 +436,7 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
             # non-decreasing and ends at 1.0, above every draw
             table = np.array([faulty_cums[key] for key in keys])
             outcomes[fired] = (table <= meas_u[fired, None]).sum(axis=1)
-        outcomes ^= (block[:, len(live) + 1 :] < flip_prob) @ flip_value
+        outcomes ^= flip_mask
         totals += np.bincount(outcomes, minlength=1 << width)
     return {format(b, f"0{width}b"): int(c) for b, c in enumerate(totals) if c}
 

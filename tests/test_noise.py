@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from lcplearn import (
     run_noisy,
     simulate,
 )
-from lcplearn import _streams, noise
-from lcplearn._streams import MAX_SHOTS, fill_uniform
+from lcplearn import _streams, kernels, noise
+from lcplearn._streams import MAX_SHOTS, fill_uniform, iter_uniform
 from lcplearn.noise import _BLOCK_SHOTS, _seed_tuple, _transpiled, exact_distribution
 from lcplearn.transpile import CouplingGraph
 
@@ -313,15 +314,30 @@ class TestBitIdentity:
         circuit, _ = _transpiled("101", CouplingGraph.quito())
         calls = []
 
-        def spy(out, base, shots, columns):
+        def spy(base, shots, columns):
             calls.append((len(shots), list(columns)))
-            return fill_uniform(out, base, shots, columns)
+            return iter_uniform(base, shots, columns)
 
-        monkeypatch.setattr(_streams, "fill_uniform", spy)
+        monkeypatch.setattr(_streams, "iter_uniform", spy)
         shots = 2 * _BLOCK_SHOTS + 5
         run_noisy(circuit, NoiseProfile.zero(5), shots, seed=4)
         assert {tuple(columns) for _, columns in calls} == {(2 * len(circuit.gates),)}
         assert sum(rows for rows, _ in calls) == shots
+
+    def test_one_quito_trial_stays_under_its_memory_bound(self):
+        """A block holds fire booleans, the measurement draw and a flip mask,
+        not its draws as floats: the 33 drawn columns of this circuit as an
+        8192-row float64 matrix alone are 2.2 MB."""
+        circuit, _ = _transpiled("011", CouplingGraph.quito())
+        quito = NoiseProfile.quito()
+        run_noisy(circuit, quito, 8192, seed=(0, 1))  # fills the module caches
+        tracemalloc.start()
+        try:
+            run_noisy(circuit, quito, 8192, seed=(0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_seeded_asp_trials_unchanged(self):
         """Counts of the per-shot replay, recorded before the rewrite."""
@@ -410,6 +426,35 @@ class TestBatchedReplay:
         ]
         self._assert_rows_match(task, rows)
 
+    def test_more_new_patterns_than_one_chunk_match_reference(self, task):
+        """An 8192-row block can bring more new patterns than the 2048 rows
+        of width 5 that _BATCH_AMPLITUDES allows at once."""
+        circuit, _ = task
+        rows = (noise._BATCH_AMPLITUDES >> circuit.width) + 50
+        rng = np.random.default_rng(5)
+        counts = [len(self._choices(g)) for g in circuit.gates]
+        choices = rng.integers(0, counts, (rows, len(counts))) + 1
+        patterns = np.where(rng.random((rows, len(counts))) < 0.05, choices, 0)
+        patterns[np.arange(rows), rng.integers(len(counts), size=rows)] = 1
+        self._assert_rows_match(task, patterns)
+
+    def test_pauli_gather_equals_the_kernels(self):
+        """Every choice on every qubit and every ordered qubit pair of a
+        random 3-qubit state, control above and below target."""
+        rng = np.random.default_rng(8)
+        state = rng.normal(size=8) + 1j * rng.normal(size=8)
+        cases = [((q,), range(4)) for q in (1, 2, 3)]
+        cases += [((a, b), range(16)) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+        for qubits, choices in cases:
+            rows = np.repeat(state[None], len(choices), axis=0)
+            hit = noise._hit(rows, 3, qubits, np.array(choices, dtype=np.uint8))
+            for row, choice in zip(hit, choices):
+                expected = state.copy()
+                paulis = divmod(choice, 4) if len(qubits) == 2 else (choice,)
+                for q, pauli in zip(qubits, paulis):
+                    kernels.apply_unitary(expected, 3, (q,), noise._PAULIS[pauli])
+                assert np.array_equal(row, expected), (qubits, choice)
+
     @pytest.mark.parametrize("amplitudes", [32, 96])
     def test_small_batches_match_reference(self, monkeypatch, amplitudes):
         """1 and 3 rows per chunk at width 5."""
@@ -424,7 +469,7 @@ class TestStreams:
     """The vectorized stream pass against numpy's per-shot generators."""
 
     @pytest.mark.parametrize("m", [1, 7, 61])
-    @pytest.mark.parametrize("shot", [0, 1, _BLOCK_SHOTS - 1, _BLOCK_SHOTS, 2**31, 2**32 - 1])
+    @pytest.mark.parametrize("shot", [0, 1, 1023, 1024, _BLOCK_SHOTS - 1, _BLOCK_SHOTS, 2**31, 2**32 - 1])
     @pytest.mark.parametrize("base", [(0,), (3, 0), (2**31 - 1, 4), (2**40 + 5, 7), (1, 2, 3)])
     def test_rows_equal_default_rng(self, base, shot, m):
         rows = min(3, MAX_SHOTS - shot)
@@ -452,6 +497,48 @@ class TestStreams:
         for row, shot in zip(out, shots):
             stream = np.random.default_rng((*base, shot)).random(columns[-1] + 1)
             assert np.array_equal(row, stream[columns])
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[0], [5000], [0, 2, 3], [0, 1, 2, 70, 71], [3, 5, 6, 7, 140, 141, 300]],
+        ids=["first", "lone-far", "gap-1", "gap-over-64", "mixed"],
+    )
+    @pytest.mark.parametrize("base", [(0,), (2**40 + 5, 7)])
+    def test_column_iterator_equals_default_rng(self, base, columns):
+        shots = [0, 2**31, 2**32 - 1]
+        drawn = list(iter_uniform(base, np.array(shots), columns))
+        assert len(drawn) == len(columns)
+        for c, column in zip(columns, drawn):
+            assert column.shape == (len(shots),) and column.dtype == np.float64
+            for shot, value in zip(shots, column):
+                assert value == np.random.default_rng((*base, shot)).random(c + 1)[-1]
+
+    @pytest.mark.parametrize(
+        "base, shots, columns",
+        [
+            ((0,), [0, 1], [3, 2]),
+            ((0,), [0, 1], [2, 2]),
+            ((0,), [0, 1], [-1, 2]),
+            ((0,), [0, MAX_SHOTS], [0]),
+            ((0,), [-1, 0], [0]),
+            ((0,), [[0, 1]], [0]),
+            ((0,), [0.0, 1.0], [0]),
+            ((3, -1), [0, 1], [0]),
+        ],
+        ids=[
+            "unsorted-column", "repeated-column", "negative-column", "shot-2^32", "negative-shot",
+            "2-d-shots", "float-shots", "negative-seed-word",
+        ],
+    )
+    def test_column_iterator_rejects_what_fill_uniform_rejects(self, monkeypatch, base, shots, columns):
+        def no_work(entropy):
+            raise AssertionError("seeded streams for a refused request")
+
+        monkeypatch.setattr(_streams, "_pool", no_work)
+        with pytest.raises(ValueError):
+            fill_uniform(np.empty((2, len(columns))), base, np.array(shots), columns)
+        with pytest.raises(ValueError):
+            iter_uniform(base, np.array(shots), columns)
 
     @pytest.mark.parametrize("m", [1, 2, 63, 64, 10**5])
     def test_jump_constants_equal_plain_steps(self, m):
