@@ -382,15 +382,15 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     readout = np.array(profile.readout_error[:width])
     bit_value = 1 << np.arange(width - 1, -1, -1)
 
-    prefixes = _clean_prefixes(circuit)
-    clean_cum = _cdf(prefixes[-1])
-    faulty_cums: dict[bytes, np.ndarray] = {}
-
     # A shot's stream holds a fire draw per gate, a Pauli draw per gate, the
     # measurement draw, then a readout draw per qubit.  `u < 0` never holds,
     # so only the measurement draw, the fire and readout draws of nonzero
     # rates, and the Pauli draws of fired gates can change a count.
     live = np.flatnonzero(site_prob > 0)
+    # with no live site no fault fires, and only the final state is read
+    prefixes = _clean_prefixes(circuit) if len(live) else [simulate(circuit)]
+    clean_cum = _cdf(prefixes[-1])
+    faulty_cums: dict[bytes, np.ndarray] = {}
     flips = np.flatnonzero(readout > 0)
     columns = [*live, 2 * n_sites, *(2 * n_sites + 1 + flips)]
     live_prob = site_prob[live]

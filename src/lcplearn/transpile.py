@@ -4,7 +4,9 @@ Pipeline: map logical qubits onto the coupling graph, route each
 non-adjacent CNOT as a CNOT ladder along a shortest path (4(d-1) CNOTs
 at distance d), rewrite into the device gate set {CX, RZ, SX, X}, then
 peephole-optimize to a fixed point.  Every pass preserves the unitary
-up to global phase and never increases the gate count.
+up to global phase and never increases the gate count.  `transpile`
+runs the pipeline over a list of candidate mappings, the given mapping
+alone or every injective one, and returns the best candidate's compile.
 
 Physical qubits are 0-based (Q0, Q1, ...); a physical circuit of width P
 uses internal qubit p+1 for Qp, so the serialized q[p] is exactly Qp.
@@ -13,6 +15,7 @@ uses internal qubit p+1 for Qp, so the serialized q[p] is exactly Qp.
 import itertools
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,17 +30,12 @@ MAX_SWEEPS = 50
 
 AUTO_MAP_LIMIT = 2520  # candidate mappings an exhaustive search may compile: P(7, 5)
 
+_KIND = operator.attrgetter("kind")
+_QUBITS = operator.attrgetter("qubits")
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _path_to(prev: dict, b: int) -> list[int]:
-    """The path from a breadth-first search's root to `b`, given `prev`."""
-    path = [b]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
 
 
 @dataclass(frozen=True)
@@ -85,35 +83,17 @@ class CouplingGraph:
                 raise ValueError(f"qubit {v} is not on this {self.num_qubits}-qubit graph")
         if a == b:
             raise ValueError("endpoints must differ")
-        return _path_to(self._bfs(a), b)
+        prev = self._bfs(a)
+        path = [b]
+        while prev[path[-1]] is not None:
+            path.append(prev[path[-1]])
+        return path[::-1]
 
     @cached_property
-    def routes(self) -> dict:
-        """(control, target) -> two coupling-legal realizations of that CX,
-        for every ordered pair of physical qubits.
-
-        A shortest path v0..vd becomes a ladder of CX(v_i, v_{i+1}) over
-        four runs: i = 0..d-1, d-2..0, 1..d-1, d-2..1, which is 4(d-1)
-        CNOTs for d >= 2 (the four-CNOT identity at d = 2) and one CNOT at
-        d = 1.  The second realization is the ladder reversed, the same CX
-        since every gate is a self-inverse CX; routing alternates the two
-        across repeat occurrences of a pair, which exposes pair
-        cancellations to the optimizer.  The ladders reuse one `Gate` per
-        directed edge, so routing builds no gates.
-        """
-        cx = {}
-        for a, b in self.edges:
-            cx[a, b], cx[b, a] = CX(a + 1, b + 1), CX(b + 1, a + 1)
-        table = {}
-        for a in range(self.num_qubits):
-            prev = self._bfs(a)
-            for b in range(self.num_qubits):
-                if b != a:
-                    path = _path_to(prev, b)
-                    hops = [cx[hop] for hop in zip(path, path[1:])]
-                    ladder = tuple(hops + hops[-2::-1] + hops[1:] + hops[-2:0:-1])
-                    table[a, b] = ladder, ladder[::-1]
-        return table
+    def routes(self) -> "_RouteTable":
+        """(control, target) -> the two ladders realizing that CX, each
+        pair's built on its first lookup (see `_RouteTable`)."""
+        return _RouteTable(self)
 
     @classmethod
     def linear(cls, n: int) -> "CouplingGraph":
@@ -153,6 +133,30 @@ class CouplingGraph:
             return cls.from_dict(json.load(handle))
 
 
+class _RouteTable(dict):
+    """(control, target) -> two coupling-legal realizations of that CX,
+    built on the pair's first lookup; a pair off the graph raises
+    ValueError.
+
+    A shortest path v0..vd becomes a ladder of CX(v_i, v_{i+1}) over four
+    runs: i = 0..d-1, d-2..0, 1..d-1, d-2..1, which is 4(d-1) CNOTs for
+    d >= 2 (the four-CNOT identity at d = 2) and one CNOT at d = 1.  The
+    second realization is the ladder reversed, the same CX since every
+    gate is a self-inverse CX.  Routing reuses these gates as they are.
+    """
+
+    def __init__(self, graph: CouplingGraph):
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple:
+        path = self.graph.shortest_path(*pair)
+        hops = [CX(a + 1, b + 1) for a, b in zip(path, path[1:])]
+        ladder = tuple(hops + hops[-2::-1] + hops[1:] + hops[-2:0:-1])
+        self[pair] = ladder, ladder[::-1]
+        return self[pair]
+
+
 @dataclass(frozen=True)
 class QubitMapping:
     """physical[l-1] is the physical qubit carrying logical qubit l."""
@@ -180,7 +184,6 @@ def route_cnot(control: int, target: int, graph: CouplingGraph) -> Circuit:
     """Coupling-legal realization of CX(control, target), as a fragment."""
     if control == target:
         raise ValueError("control and target must differ")
-    graph.shortest_path(control, target)  # raises for an endpoint off the graph
     return Circuit(graph.num_qubits, graph.routes[control, target][0])
 
 
@@ -422,63 +425,47 @@ def check_legal(circuit: Circuit, graph: CouplingGraph) -> tuple[bool, bool]:
     return kinds_ok, edges_ok
 
 
-def _route_pass(circuit: Circuit, graph: CouplingGraph) -> Circuit:
+def _route(circuit: Circuit, physical: tuple[int, ...], graph: CouplingGraph, mapped: dict) -> list[Gate]:
+    """`circuit`'s gates with logical qubit l placed on physical qubit
+    physical[l-1], each CX replaced by its pair's ladder from
+    `graph.routes`, reversed on every other repeat occurrence of the pair
+    to expose pair cancellations to the optimizer.  Ladder gates are
+    reused; a placed single-qubit gate is built once per (gate index,
+    physical qubit) and kept in `mapped` for the other candidates."""
+    routes = graph.routes
     gates: list[Gate] = []
     occurrence: dict[tuple[int, int], int] = {}
-    for g in circuit.gates:
-        if g.kind != "cx":
-            gates.append(g)
+    for i, g in enumerate(circuit.gates):
+        if g.kind == "cx":
+            pair = (physical[g.qubits[0] - 1], physical[g.qubits[1] - 1])
+            seen = occurrence.get(pair, 0)
+            occurrence[pair] = seen + 1
+            gates.extend(routes[pair][seen % 2])
             continue
-        pair = (g.qubits[0] - 1, g.qubits[1] - 1)
-        seen = occurrence.get(pair, 0)
-        occurrence[pair] = seen + 1
-        gates.extend(graph.routes[pair][seen % 2])
-    return Circuit(circuit.width, gates)
+        p = physical[g.qubits[0] - 1]
+        gate = mapped.get((i, p))
+        if gate is None:
+            gate = mapped[i, p] = Gate(g.kind, (p + 1,), g.theta)
+        gates.append(gate)
+    return gates
 
 
-def _routed_key(ops: list[tuple], physical: tuple[int, ...], routes: dict) -> tuple:
-    """`ops` mapped through `physical` and routed as `_route_pass` does, as
-    (kind, qubits, theta) tuples whose physical qubits are relabelled
-    1, 2, ... in order of first appearance.
+def _relabelled(gates: list[Gate]) -> tuple:
+    """The key of a routed candidate: `gates`' kinds, and their qubits
+    relabelled 0, 1, ... in order of first appearance.
 
-    Two mappings with the same key compile to the same circuit up to that
-    relabelling: rewrite, optimize, gate counts and depth compare qubits
-    only for equality, so the two final circuits score the same.
+    Every candidate routes the same circuit, so its i-th single-qubit gate
+    is the circuit's i-th; only kinds and qubits differ.  Rewrite,
+    optimize, gate counts and depth compare qubits only for equality, so
+    two candidates with one key compile alike and score the same.
     """
-    label: dict[int, int] = {}
-    key = []
-    occurrence: dict[tuple[int, int], int] = {}
-    for kind, qubits, theta in ops:
-        if kind != "cx":
-            p = physical[qubits[0] - 1] + 1
-            key.append((kind, (label.setdefault(p, len(label) + 1),), theta))
-            continue
-        pair = (physical[qubits[0] - 1], physical[qubits[1] - 1])
-        seen = occurrence.get(pair, 0)
-        occurrence[pair] = seen + 1
-        for cx in routes[pair][seen % 2]:
-            c, t = cx.qubits
-            c = label.setdefault(c, len(label) + 1)
-            key.append(("cx", (c, label.setdefault(t, len(label) + 1)), None))
-    return tuple(key)
+    qubits = list(itertools.chain.from_iterable(map(_QUBITS, gates)))
+    label = {q: i for i, q in enumerate(dict.fromkeys(qubits))}
+    return tuple(map(_KIND, gates)), tuple(map(label.__getitem__, qubits))
 
 
-def _stages(circuit: Circuit, graph: CouplingGraph, mapping: QubitMapping, opt: bool):
-    """The (name, circuit) after each pass, and the optimizer's sweep count."""
-    mapped = circuit.remap({l: mapping[l] + 1 for l in range(1, circuit.width + 1)}, graph.num_qubits)
-    routed = _route_pass(mapped, graph)
-    rewritten = rewrite_to_device(routed)
-    stages = [("input", circuit), ("map", mapped), ("route", routed), ("rewrite", rewritten)]
-    if not opt:
-        return stages, None
-    final, opt_report = optimize(rewritten)
-    return stages + [("optimize", final)], opt_report.sweeps
-
-
-def _report(stages, sweeps, mapping: QubitMapping, graph: CouplingGraph) -> tuple[Circuit, PassReport]:
-    final = stages[-1][1]
-    records = [StageRecord.of(name, c) for name, c in stages]
-    return final, PassReport(records, mapping.physical, *check_legal(final, graph), sweeps)
+def _score(final: Circuit) -> tuple[int, int]:
+    return final.gate_counts()["cx"], final.depth()
 
 
 def transpile(
@@ -489,12 +476,13 @@ def transpile(
 ) -> tuple[Circuit, PassReport]:
     """Map, route, rewrite and optimize a circuit onto the device.
 
-    With no mapping given, every injective assignment (at most
-    AUTO_MAP_LIMIT of them) is routed and keyed by its relabelled routed
-    circuit (`_routed_key`); each distinct key is rewritten and optimized
-    once.  The mapping with the lowest final CX count wins; ties break by
-    depth, then lexicographically.  Stage records are built for the
-    winner only.
+    The candidates are the given mapping alone or, with none given,
+    every injective mapping (at most AUTO_MAP_LIMIT) in lexicographic
+    order.  A search keys each routed candidate (`_relabelled`) and
+    rewrites and optimizes only the first of each key.  The lowest final
+    CX count wins, then depth, then the lexicographically first, which is
+    always the first of its key, so its compile is the one returned.  A
+    lone candidate is neither keyed nor scored.
     """
     if circuit.width > graph.num_qubits:
         raise ValueError(
@@ -505,26 +493,42 @@ def transpile(
             raise ValueError("mapping width does not match circuit width")
         if any(not 0 <= p < graph.num_qubits for p in mapping.physical):
             raise ValueError("mapping targets nonexistent physical qubits")
-        return _report(*_stages(circuit, graph, mapping, opt), mapping, graph)
-    tries = math.perm(graph.num_qubits, circuit.width)
-    if tries > AUTO_MAP_LIMIT:
-        raise ValueError(
-            f"auto-mapping would compile {tries} mappings, over the limit of "
-            f"{AUTO_MAP_LIMIT}; pass an explicit mapping"
-        )
+        candidates = [mapping.physical]
+    else:
+        tries = math.perm(graph.num_qubits, circuit.width)
+        if tries > AUTO_MAP_LIMIT:
+            raise ValueError(
+                f"auto-mapping would compile {tries} mappings, over the limit of "
+                f"{AUTO_MAP_LIMIT}; pass an explicit mapping"
+            )
+        candidates = itertools.permutations(range(graph.num_qubits), circuit.width)
 
-    ops = [(g.kind, g.qubits, g.theta) for g in circuit.gates]
-    scores: dict[tuple, tuple[int, int]] = {}  # key -> (final cx, final depth)
+    keys: set[tuple] = set()
+    mapped: dict = {}
+    best = best_score = None
+    for physical in candidates:
+        routed = _route(circuit, physical, graph, mapped)
+        if mapping is None:
+            key = _relabelled(routed)
+            if key in keys:
+                continue
+            keys.add(key)
+        routed = Circuit(graph.num_qubits, routed)
+        final = rewritten = rewrite_to_device(routed)
+        stages = [("route", routed), ("rewrite", rewritten)]
+        if opt:
+            final, opt_report = optimize(rewritten)
+            stages.append(("optimize", final))
+        if best is not None:  # scored only once it has a rival
+            best_score = best_score or _score(best[1][-1][1])
+            score = _score(final)
+            if score >= best_score:
+                continue
+            best_score = score
+        best = physical, stages, opt_report.sweeps if opt else None
 
-    def score(physical):
-        key = _routed_key(ops, physical, graph.routes)
-        if key not in scores:
-            final = rewrite_to_device(Circuit(graph.num_qubits, [Gate(*op) for op in key]))
-            if opt:
-                final, _ = optimize(final)
-            scores[key] = final.gate_counts()["cx"], final.depth()
-        return (*scores[key], physical)
-
-    perms = itertools.permutations(range(graph.num_qubits), circuit.width)
-    best = QubitMapping(min(perms, key=score))
-    return _report(*_stages(circuit, graph, best, opt), best, graph)
+    physical, stages, sweeps = best
+    final = stages[-1][1]
+    # placing relabels qubits injectively, which keeps gate counts and depth
+    records = [StageRecord.of(name, c) for name, c in [("input", circuit), ("map", circuit), *stages]]
+    return final, PassReport(records, physical, *check_legal(final, graph), sweeps)

@@ -71,12 +71,12 @@ def _reference_run_noisy(circuit, profile, shots, seed=0):
                     choice = int(pick_u[k] * 15) + 1  # skip identity-identity
                     p1, p2 = divmod(choice, 4)
                     if p1:
-                        state.apply_unitary1(g.qubits[0], _REF_PAULIS[p1])
+                        kernels.apply_unitary(state.amps, state.num_qubits, (g.qubits[0],), _REF_PAULIS[p1])
                     if p2:
-                        state.apply_unitary1(g.qubits[1], _REF_PAULIS[p2])
+                        kernels.apply_unitary(state.amps, state.num_qubits, (g.qubits[1],), _REF_PAULIS[p2])
                 else:
                     choice = int(pick_u[k] * 3) + 1
-                    state.apply_unitary1(g.qubits[0], _REF_PAULIS[choice])
+                    kernels.apply_unitary(state.amps, state.num_qubits, (g.qubits[0],), _REF_PAULIS[choice])
             cum = np.cumsum(state.probabilities())
             cum[-1] = 1.0
         else:
@@ -101,11 +101,11 @@ def _reference_faulty_cdf(circuit, prefixes, faults):
         if gate.kind == "cx":
             p1, p2 = divmod(choice, 4)
             if p1:
-                state.apply_unitary1(gate.qubits[0], _REF_PAULIS[p1])
+                kernels.apply_unitary(state.amps, state.num_qubits, (gate.qubits[0],), _REF_PAULIS[p1])
             if p2:
-                state.apply_unitary1(gate.qubits[1], _REF_PAULIS[p2])
+                kernels.apply_unitary(state.amps, state.num_qubits, (gate.qubits[1],), _REF_PAULIS[p2])
         else:
-            state.apply_unitary1(gate.qubits[0], _REF_PAULIS[choice])
+            kernels.apply_unitary(state.amps, state.num_qubits, (gate.qubits[0],), _REF_PAULIS[choice])
 
     first = int(np.flatnonzero(faults)[0])
     state = init_basis(circuit.width, 0)
@@ -212,6 +212,18 @@ class TestRunNoisy:
         hist = run_noisy(circuit, NoiseProfile.zero(2), shots=4000, seed=1)
         assert set(hist) == {"00", "11"}
         assert abs(hist["00"] - 2000) < 200
+
+    @pytest.mark.parametrize(
+        "profile", [NoiseProfile.zero(2), NoiseProfile({}, (0.0, 1.0), (0.0, 0.0))], ids=["zero", "readout-only"]
+    )
+    def test_no_live_site_builds_no_prefixes(self, monkeypatch, profile):
+        """With no gate that can fault, only the final state is read."""
+
+        def fail(circuit):
+            raise AssertionError("clean prefixes built")
+
+        monkeypatch.setattr(noise, "_clean_prefixes", fail)
+        assert sum(run_noisy(bell_circuit(), profile, shots=100, seed=1).values()) == 100
 
     def test_certain_readout_flip(self):
         circuit = Circuit(2, [X(1)])

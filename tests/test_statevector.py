@@ -12,6 +12,7 @@ from lcplearn import (
     init_basis,
     simulate,
 )
+from lcplearn import kernels
 from lcplearn.circuit import gate_matrix
 from lcplearn.statevector import MAX_DENSE_QUBITS, Statevector, check_dense_width
 
@@ -157,5 +158,5 @@ def test_each_gate_followed_by_inverse_is_identity():
         if gate.kind == "cx":
             state.apply_unitary2(gate.qubits[0], gate.qubits[1], inverse)
         else:
-            state.apply_unitary1(gate.qubits[0], inverse)
+            kernels.apply_unitary(state.amps, state.num_qubits, gate.qubits, inverse)
         assert np.max(np.abs(state.amps - before)) < 1e-12

@@ -27,7 +27,7 @@ from lcplearn import (
     transpile,
 )
 from lcplearn.oracle import Query, f
-from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _report, _route_pass, _stages, check_legal
+from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _route, check_legal
 from lcplearn.verify import _recovers_secret
 
 # the package attribute `lcplearn.transpile` is the function, not the module
@@ -66,8 +66,8 @@ def assert_every_pair_routes_as_a_ladder(graph):
     CNOTs only, 4(d - 1) of them at distance d >= 2, the exact CX
     unitary; variant 1 is variant 0 reversed."""
     width = graph.num_qubits
-    assert set(graph.routes) == set(itertools.permutations(range(width), 2))
-    for (a, b), ladders in graph.routes.items():
+    for a, b in itertools.permutations(range(width), 2):
+        ladders = graph.routes[a, b]
         path = graph.shortest_path(a, b)
         d = len(path) - 1
         assert route_cnot(a, b, graph).gates == ladders[0]
@@ -187,7 +187,7 @@ class TestRouting:
         """Repeat occurrences of a routed pair use the reversed ladder."""
         line = CouplingGraph.linear(5)
         circuit = Circuit(5, [CX(1, 4), H(2), CX(1, 4), RZ(0.3, 4), CX(1, 4), CX(5, 3), X(1), CX(5, 3)])
-        routed = _route_pass(circuit, line)
+        routed = Circuit(5, _route(circuit, (0, 1, 2, 3, 4), line, {}))
         assert check_legal(routed, line)[1]
         far, near = len(route_cnot(0, 3, line)), len(route_cnot(4, 2, line))
         assert (far, near) == (8, 4)  # distance 3 and distance 2
@@ -200,6 +200,18 @@ class TestRouting:
         assert rest[near] == X(1) and len(rest) == 2 * near + 1
         assert rest[near + 1 :] == rest[:near][::-1] != rest[:near]
         assert np.allclose(routed.unitary(), circuit.unitary())
+
+    def test_far_pair_on_a_long_line_builds_its_route_only(self):
+        """A pair's ladders are built on its first lookup, not with every
+        other pair's: one CX across a 300-qubit line routes as 4 * 298
+        CNOTs and builds one route."""
+        line = CouplingGraph.linear(300)
+        final, report = transpile(Circuit(2, [CX(1, 2)]), line, mapping=QubitMapping((0, 299)))
+        assert final.gate_counts()["cx"] == report.final_counts["cx"] == 1192
+        assert report.legal
+        assert list(line.routes) == [(0, 299)]
+        assert route_cnot(0, 299, line).gates == line.routes[0, 299][0]
+        assert list(line.routes) == [(0, 299)]
 
 
 class TestRewrite:
@@ -408,12 +420,28 @@ class TestMappingSearch:
         transpile(build_full_circuit(SecretString.from_string("101")), QUITO, opt=opt)
         assert built == names
 
+    @pytest.mark.parametrize("mapping,calls", [(None, 13), (QubitMapping((0, 1, 2, 3)), 1)], ids=["auto", "explicit"])
+    def test_each_distinct_routed_circuit_compiled_once(self, monkeypatch, mapping, calls):
+        """The auto-map of s=101 onto quito rewrites and optimizes each of
+        its 13 distinct relabelled routed circuits once, the winner's
+        included; an explicit mapping is compiled once."""
+        counts = {"rewrite_to_device": 0, "optimize": 0}
+        for name in counts:
+            original = getattr(transpile_module, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(transpile_module, name, counting)
+        transpile(build_full_circuit(SecretString.from_string("101")), QUITO, mapping=mapping)
+        assert counts == {"rewrite_to_device": calls, "optimize": calls}
+
     def test_search_over_the_limit_refused_before_compiling(self, monkeypatch):
         def fail(*args):
             raise AssertionError("a candidate was routed or compiled")
 
-        monkeypatch.setattr(transpile_module, "_stages", fail)
-        monkeypatch.setattr(transpile_module, "_routed_key", fail)
+        monkeypatch.setattr(transpile_module, "_route", fail)
         assert math.perm(27, 4) > AUTO_MAP_LIMIT
         with pytest.raises(ValueError, match="explicit mapping"):
             transpile(Circuit(4, [CX(1, 4)]), CouplingGraph.linear(27))
@@ -427,17 +455,16 @@ class TestMappingSearch:
     @pytest.mark.parametrize("opt", [True, False])
     def test_keyed_search_equals_exhaustive_search(self, circuit, graph, opt):
         """Compiling one mapping per relabelled routed circuit picks the
-        same mapping, circuit and report as compiling every mapping."""
-
-        def score(physical):
-            final = _stages(circuit, graph, QubitMapping(physical), opt)[0][-1][1]
-            return final.gate_counts()["cx"], final.depth(), physical
-
-        perms = itertools.permutations(range(graph.num_qubits), circuit.width)
-        best = QubitMapping(min(perms, key=score))
-        want_final, want_report = _report(*_stages(circuit, graph, best, opt), best, graph)
+        same mapping, circuit and report as compiling every mapping on its
+        own."""
+        compiles = {
+            physical: transpile(circuit, graph, mapping=QubitMapping(physical), opt=opt)
+            for physical in itertools.permutations(range(graph.num_qubits), circuit.width)
+        }
+        best = min(compiles, key=lambda p: (compiles[p][1].final_counts["cx"], compiles[p][1].final_depth, p))
+        want_final, want_report = compiles[best]
         final, report = transpile(circuit, graph, opt=opt)
-        assert report.mapping == best.physical
+        assert report.mapping == best
         assert serialize(final) == serialize(want_final)
         assert report.to_dict() == want_report.to_dict()
 
