@@ -25,22 +25,20 @@ the Pauli draws of the gates that fired.  The columns are consumed as
 they are drawn: a fire draw becomes a row of booleans, a readout draw a
 bit of a flip mask, and only the measurement draw is kept as floats.
 At zero noise that is one value a shot, and an 8192-shot trial of a
-quito demo circuit takes 1.5–2.6 ms (2-core Xeon VM, median over the
-12 demo secrets); under the quito profile it takes 10–17 ms, where
-1024-shot blocks took 39–60 ms.
+quito demo circuit takes 1.4–2.2 ms (2-core Xeon VM, median over the
+12 demo secrets); under the quito profile it takes 9.8–11.8 ms.
 
-The replay never runs a circuit per shot.  It caches the noiseless
-state after every gate once per call; a shot in which no error fired
-samples the clean distribution.  A shot with errors is keyed by its
-fault pattern, the Pauli chosen at each fired gate, and each pattern is
-resimulated once per call.  The patterns first seen in a block are
-resimulated together as one (patterns, 2^width) state array, sorted by
-first fault: a row is loaded with the cached state at its first fault,
-each gate is one kernel call on the rows loaded before it, and the rows
-that fault at a gate get their Paulis as one gather, an index XOR and a
-unit phase per amplitude.  Every amplitude takes the same values as in
-a run of its pattern from |0...0> (up to the signs of zeros, which no
-probability sees), and later shots reuse the pattern's distribution.
+The replay never runs a circuit per shot.  It simulates the noiseless
+circuit once per call; a shot in which no error fired samples its
+distribution.  A shot with errors is keyed by its fault pattern, the
+Pauli chosen at each fired gate, and each pattern is resimulated once
+per call.  The patterns first seen in a block are resimulated together
+as one (patterns, 2^width) state array that starts as |0...0> in every
+row: each gate is one kernel call on all rows, and the rows that fault
+at a gate get their Paulis as one gather, an index XOR and a unit phase
+per amplitude.  Every amplitude takes the same values as in a run of
+its pattern on its own (up to the signs of zeros, which no probability
+sees), and later shots reuse the pattern's distribution.
 The fired gates, clean and faulty outcomes and readout flips of a block
 are found with array operations, so the histograms are bit-identical to
 a per-shot loop.
@@ -51,7 +49,6 @@ the same channels and give the value the Monte-Carlo estimates sample.
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -262,14 +259,6 @@ def _cdf(state: Statevector) -> np.ndarray:
     return cum
 
 
-def _clean_prefixes(circuit: Circuit) -> list[Statevector]:
-    """prefixes[k] is the noiseless state after the first k gates."""
-    prefixes = [init_basis(circuit.width, 0)]
-    for gate in circuit.gates:
-        prefixes.append(simulate(Circuit(circuit.width, (gate,)), prefixes[-1]))
-    return prefixes
-
-
 @lru_cache(maxsize=4)
 def _indices(width: int) -> np.ndarray:
     return np.arange(1 << width)
@@ -283,8 +272,8 @@ def _pauli_gather(width: int, qubits: tuple) -> tuple:
     `qubits`, the first qubit highest.  A CX's choice 4a + b is _PAULIS[a]
     on the control and _PAULIS[b] on the target; its phase is their
     product, exact for units.  An entry holds a byte per amplitude, a
-    sixteenth of one cached clean state, and the cache is bounded because
-    a wide circuit has many gate positions."""
+    sixteenth of one state, and the cache is bounded because a wide
+    circuit has many gate positions."""
     index = _indices(width)
     flip, phase = np.zeros(1, dtype=np.intp), np.ones((1, 1))
     code = np.zeros(1 << width, dtype=np.uint8)
@@ -305,48 +294,34 @@ def _hit(rows: np.ndarray, width: int, qubits: tuple, choice: np.ndarray) -> np.
     return np.take_along_axis(rows, perm, axis=1) * phase[choice[:, None], code]
 
 
-def _faulty_cdfs(circuit: Circuit, prefixes: list[Statevector], patterns: np.ndarray) -> np.ndarray:
+def _faulty_cdfs(circuit: Circuit, patterns: np.ndarray) -> np.ndarray:
     """Outcome CDFs of the fault patterns `patterns`, one per row: Pauli
     choice patterns[i, k] after gate k, 0 where no error fired.  Each row
     has at least one fault.  Choices 1..15 at a CX index the pair
     (control, target) as divmod(choice, 4), 1..3 X, Y, Z at a
     single-qubit gate.
 
-    All rows are resimulated together as one (rows, 2^width) array,
-    sorted by first fault, so that the rows loaded before gate k are a
-    leading slice and gate k is one kernel call on it.  A row is loaded
-    with the cached clean state at its first fault, and the rows a fault
-    hits at gate k get their Paulis as one gather (`_hit`); each amplitude
-    takes the same value as in a run of its pattern from |0...0>, up to
-    the signs of zeros.
+    All rows are resimulated together as one (rows, 2^width) array that
+    starts as |0...0> in every row: gate k is one kernel call on all
+    rows, and the rows a fault hits at gate k get their Paulis as one
+    gather (`_hit`); each amplitude takes the same value as in a run of
+    its pattern on its own, up to the signs of zeros.
     """
     width = circuit.width
     rows = max(1, _BATCH_AMPLITUDES >> width)
     if len(patterns) > rows:
         return np.concatenate(
-            [_faulty_cdfs(circuit, prefixes, patterns[i : i + rows]) for i in range(0, len(patterns), rows)]
+            [_faulty_cdfs(circuit, patterns[i : i + rows]) for i in range(0, len(patterns), rows)]
         )
-    firsts = (patterns != 0).argmax(axis=1).tolist()
-    order = sorted(range(len(patterns)), key=firsts.__getitem__)
-    firsts = [firsts[i] for i in order]
-    faults = patterns[order]
-    states = np.empty((len(patterns), 1 << width), dtype=np.complex128)
-    loaded = 0
-    for k in range(firsts[0], len(circuit.gates)):
-        qubits = circuit.gates[k].qubits
-        if loaded:
-            kernels.apply_unitary(states[:loaded], width, qubits, gate_matrix(circuit.gates[k]))
-        end = bisect_right(firsts, k)
-        states[loaded:end] = prefixes[k + 1].amps
-        loaded = end
-        at = np.flatnonzero(faults[:loaded, k])
+    states = np.tile(init_basis(width, 0).amps, (len(patterns), 1))
+    for k, gate in enumerate(circuit.gates):
+        kernels.apply_unitary(states, width, gate.qubits, gate_matrix(gate))
+        at = np.flatnonzero(patterns[:, k])
         if len(at):
-            states[at] = _hit(states[at], width, qubits, faults[at, k])
+            states[at] = _hit(states[at], width, gate.qubits, patterns[at, k])
     cums = np.cumsum(np.abs(states) ** 2, axis=1)
     cums[:, -1] = 1.0
-    out = np.empty_like(cums)
-    out[order] = cums
-    return out
+    return cums
 
 
 def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> dict[str, int]:
@@ -387,9 +362,7 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     # so only the measurement draw, the fire and readout draws of nonzero
     # rates, and the Pauli draws of fired gates can change a count.
     live = np.flatnonzero(site_prob > 0)
-    # with no live site no fault fires, and only the final state is read
-    prefixes = _clean_prefixes(circuit) if len(live) else [simulate(circuit)]
-    clean_cum = _cdf(prefixes[-1])
+    clean_cum = _cdf(simulate(circuit))
     faulty_cums: dict[bytes, np.ndarray] = {}
     flips = np.flatnonzero(readout > 0)
     columns = [*live, 2 * n_sites, *(2 * n_sites + 1 + flips)]
@@ -430,7 +403,7 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
             # one row per pattern not yet memoised; equal keys are equal rows
             new = {key: i for i, key in enumerate(keys) if key not in faulty_cums}
             if new:
-                cdfs = _faulty_cdfs(circuit, prefixes, faults[list(new.values())])
+                cdfs = _faulty_cdfs(circuit, faults[list(new.values())])
                 faulty_cums.update(zip(new, cdfs))
             # searchsorted(side="right") on each row: a CDF is
             # non-decreasing and ends at 1.0, above every draw

@@ -46,9 +46,14 @@ class CouplingGraph:
     def __post_init__(self):
         norm = frozenset(tuple(sorted(e)) for e in self.edges)
         object.__setattr__(self, "edges", norm)
+        adjacent = {v: [] for v in range(self.num_qubits)}
         for a, b in norm:
             if a == b or not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
                 raise ValueError(f"bad edge ({a}, {b}) for {self.num_qubits} qubits")
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        # each vertex's neighbours in sorted order, outside the compared fields
+        object.__setattr__(self, "_adjacent", {v: sorted(ws) for v, ws in adjacent.items()})
         if self.num_qubits > 1 and len(self._bfs(0)) != self.num_qubits:
             raise ValueError("coupling graph must be connected")
 
@@ -59,7 +64,7 @@ class CouplingGraph:
         frontier = deque([root])
         while frontier:
             v = frontier.popleft()
-            for w in self.neighbors(v):
+            for w in self._adjacent[v]:
                 if w not in prev:
                     prev[w] = v
                     frontier.append(w)
@@ -69,13 +74,7 @@ class CouplingGraph:
         return tuple(sorted((a, b))) in self.edges
 
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+        return list(self._adjacent.get(v, ()))
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         for v in (a, b):
@@ -530,5 +529,7 @@ def transpile(
     physical, stages, sweeps = best
     final = stages[-1][1]
     # placing relabels qubits injectively, which keeps gate counts and depth
-    records = [StageRecord.of(name, c) for name, c in [("input", circuit), ("map", circuit), *stages]]
+    given = StageRecord.of("input", circuit)
+    records = [given, StageRecord("map", dict(given.counts), given.depth)]
+    records += [StageRecord.of(name, c) for name, c in stages]
     return final, PassReport(records, physical, *check_legal(final, graph), sweeps)

@@ -91,11 +91,10 @@ def _reference_run_noisy(circuit, profile, shots, seed=0):
     return counts
 
 
-def _reference_faulty_cdf(circuit, prefixes, faults):
-    """One fault pattern resimulated on its own: load the cached clean
-    state at the first fault, then gate by gate, each fired gate followed
-    by its Pauli(s), control before target.  `_faulty_cdfs` must match it
-    row for row, bit for bit."""
+def _reference_faulty_cdf(circuit, faults):
+    """One fault pattern resimulated on its own from |0...0>, gate by
+    gate, each fired gate followed by its Pauli(s), control before
+    target.  `_faulty_cdfs` must match it row for row, bit for bit."""
 
     def apply_fault(state, gate, choice):
         if gate.kind == "cx":
@@ -107,14 +106,11 @@ def _reference_faulty_cdf(circuit, prefixes, faults):
         else:
             kernels.apply_unitary(state.amps, state.num_qubits, (gate.qubits[0],), _REF_PAULIS[choice])
 
-    first = int(np.flatnonzero(faults)[0])
     state = init_basis(circuit.width, 0)
-    state.amps[:] = prefixes[first + 1].amps
-    apply_fault(state, circuit.gates[first], int(faults[first]))
-    for k in range(first + 1, len(circuit.gates)):
-        state.apply_gate(circuit.gates[k])
+    for k, gate in enumerate(circuit.gates):
+        state.apply_gate(gate)
         if faults[k]:
-            apply_fault(state, circuit.gates[k], int(faults[k]))
+            apply_fault(state, gate, int(faults[k]))
     cum = np.cumsum(state.probabilities())
     cum[-1] = 1.0
     return cum
@@ -216,14 +212,29 @@ class TestRunNoisy:
     @pytest.mark.parametrize(
         "profile", [NoiseProfile.zero(2), NoiseProfile({}, (0.0, 1.0), (0.0, 0.0))], ids=["zero", "readout-only"]
     )
-    def test_no_live_site_builds_no_prefixes(self, monkeypatch, profile):
-        """With no gate that can fault, only the final state is read."""
+    def test_no_live_site_resimulates_nothing(self, monkeypatch, profile):
+        """With no gate that can fault, no fault pattern is resimulated."""
 
-        def fail(circuit):
-            raise AssertionError("clean prefixes built")
+        def fail(circuit, patterns):
+            raise AssertionError("fault patterns resimulated")
 
-        monkeypatch.setattr(noise, "_clean_prefixes", fail)
+        monkeypatch.setattr(noise, "_faulty_cdfs", fail)
         assert sum(run_noisy(bell_circuit(), profile, shots=100, seed=1).values()) == 100
+
+    def test_one_simulate_call_per_run(self, monkeypatch):
+        """Under noise the clean distribution is one run of the circuit;
+        the faulty rows are resimulated without `simulate`."""
+        calls = []
+
+        def counted(circuit, *initial):
+            calls.append(circuit)
+            return simulate(circuit, *initial)
+
+        monkeypatch.setattr(noise, "simulate", counted)
+        circuit, _ = _transpiled("010", CouplingGraph.quito())
+        hist = run_noisy(circuit, NoiseProfile.quito(), shots=8192, seed=3)
+        assert sum(hist.values()) == 8192
+        assert calls == [circuit]
 
     def test_certain_readout_flip(self):
         circuit = Circuit(2, [X(1)])
@@ -363,18 +374,17 @@ class TestBatchedReplay:
     """`_faulty_cdfs` resimulates many fault patterns as one state array."""
 
     @pytest.fixture(scope="class")
-    def task(self):
+    def circuit(self):
         circuit, _ = _transpiled("000", CouplingGraph.quito())
-        return circuit, noise._clean_prefixes(circuit)
+        return circuit
 
     @staticmethod
-    def _assert_rows_match(task, patterns):
-        circuit, prefixes = task
+    def _assert_rows_match(circuit, patterns):
         patterns = np.array(patterns, dtype=np.uint8)
-        batched = noise._faulty_cdfs(circuit, prefixes, patterns)
+        batched = noise._faulty_cdfs(circuit, patterns)
         assert batched.shape == (len(patterns), 1 << circuit.width)
         for row, faults in zip(batched, patterns):
-            assert np.array_equal(row, _reference_faulty_cdf(circuit, prefixes, faults))
+            assert np.array_equal(row, _reference_faulty_cdf(circuit, faults))
 
     @staticmethod
     def _pattern(circuit, faults):
@@ -387,24 +397,20 @@ class TestBatchedReplay:
     def _choices(gate):
         return range(1, 16 if gate.kind == "cx" else 4)
 
-    def test_fault_only_at_gate_zero(self, task):
-        circuit, _ = task
-        self._assert_rows_match(task, [self._pattern(circuit, {0: c}) for c in (1, 2, 3)])
+    def test_fault_only_at_gate_zero(self, circuit):
+        self._assert_rows_match(circuit, [self._pattern(circuit, {0: c}) for c in (1, 2, 3)])
 
-    def test_fault_only_at_last_gate(self, task):
-        """Rows loaded at the final step get no further gate."""
-        circuit, _ = task
+    def test_fault_only_at_last_gate(self, circuit):
+        """A fault at the final gate is the last operation on its row."""
         last = len(circuit.gates) - 1
         rows = [self._pattern(circuit, {last: c}) for c in self._choices(circuit.gates[last])]
-        self._assert_rows_match(task, rows)
+        self._assert_rows_match(circuit, rows)
 
-    def test_fault_at_every_gate(self, task):
-        circuit, _ = task
+    def test_fault_at_every_gate(self, circuit):
         row = [k % len(self._choices(g)) + 1 for k, g in enumerate(circuit.gates)]
-        self._assert_rows_match(task, [row])
+        self._assert_rows_match(circuit, [row])
 
-    def test_rows_sharing_a_first_fault_with_different_choices(self, task):
-        circuit, _ = task
+    def test_rows_sharing_a_first_fault_with_different_choices(self, circuit):
         cx = [k for k, g in enumerate(circuit.gates) if g.kind == "cx"]
         first, later = cx[0], cx[3]
         rows = [
@@ -414,18 +420,16 @@ class TestBatchedReplay:
             self._pattern(circuit, {first: 5, later: 15}),
             self._pattern(circuit, {first: 12, later: 15}),
         ]
-        self._assert_rows_match(task, rows)
+        self._assert_rows_match(circuit, rows)
 
-    def test_every_choice_at_one_gate(self, task):
-        circuit, _ = task
+    def test_every_choice_at_one_gate(self, circuit):
         cx = next(k for k, g in enumerate(circuit.gates) if g.kind == "cx")
         sq = next(k for k, g in enumerate(circuit.gates) if g.kind != "cx" and k > cx)
-        self._assert_rows_match(task, [self._pattern(circuit, {cx: c}) for c in range(1, 16)])
-        self._assert_rows_match(task, [self._pattern(circuit, {sq: c}) for c in range(1, 4)])
+        self._assert_rows_match(circuit, [self._pattern(circuit, {cx: c}) for c in range(1, 16)])
+        self._assert_rows_match(circuit, [self._pattern(circuit, {sq: c}) for c in range(1, 4)])
 
-    def test_mixed_batch_comes_back_in_input_order(self, task):
+    def test_mixed_batch_comes_back_in_input_order(self, circuit):
         """Unsorted first faults, shared prefixes and lone rows in one call."""
-        circuit, _ = task
         last = len(circuit.gates) - 1
         cx = [k for k, g in enumerate(circuit.gates) if g.kind == "cx"]
         rows = [
@@ -436,19 +440,18 @@ class TestBatchedReplay:
             [k % len(self._choices(g)) + 1 for k, g in enumerate(circuit.gates)],
             self._pattern(circuit, {0: 3, last: 1}),
         ]
-        self._assert_rows_match(task, rows)
+        self._assert_rows_match(circuit, rows)
 
-    def test_more_new_patterns_than_one_chunk_match_reference(self, task):
+    def test_more_new_patterns_than_one_chunk_match_reference(self, circuit):
         """An 8192-row block can bring more new patterns than the 2048 rows
         of width 5 that _BATCH_AMPLITUDES allows at once."""
-        circuit, _ = task
         rows = (noise._BATCH_AMPLITUDES >> circuit.width) + 50
         rng = np.random.default_rng(5)
         counts = [len(self._choices(g)) for g in circuit.gates]
         choices = rng.integers(0, counts, (rows, len(counts))) + 1
         patterns = np.where(rng.random((rows, len(counts))) < 0.05, choices, 0)
         patterns[np.arange(rows), rng.integers(len(counts), size=rows)] = 1
-        self._assert_rows_match(task, patterns)
+        self._assert_rows_match(circuit, patterns)
 
     def test_pauli_gather_equals_the_kernels(self):
         """Every choice on every qubit and every ordered qubit pair of a
@@ -586,7 +589,7 @@ class TestStreams:
         def no_work(circuit):
             raise AssertionError("simulated a circuit for a refused shot count")
 
-        monkeypatch.setattr(noise, "_clean_prefixes", no_work)
+        monkeypatch.setattr(noise, "simulate", no_work)
         with pytest.raises(ValueError, match=r"2\*\*32"):
             run_noisy(bell_circuit(), NoiseProfile.zero(2), MAX_SHOTS + 1)
         with pytest.raises(ValueError, match=r"2\*\*32"):

@@ -122,6 +122,16 @@ class TestCouplingGraph:
         with pytest.raises(ValueError):
             CouplingGraph.named("melbourne")
 
+    def test_search_reads_the_adjacency_built_at_construction(self, monkeypatch):
+        """A path search on a 1000-line needs no `neighbors` call."""
+        line = CouplingGraph.linear(1000)
+
+        def fail(self, v):
+            raise AssertionError("neighbours rescanned")
+
+        monkeypatch.setattr(CouplingGraph, "neighbors", fail)
+        assert line.shortest_path(0, 999) == list(range(1000))
+
 
 class TestMapping:
     def test_injective_required(self):
@@ -409,6 +419,8 @@ class TestMappingSearch:
         (False, ["input", "map", "route", "rewrite"]),
     ])
     def test_stage_records_built_for_the_winner_only(self, monkeypatch, opt, names):
+        """One record per pass of the winner; the map record reuses the
+        input's, since placing keeps gate counts and depth."""
         built = []
         original = StageRecord.of
 
@@ -417,8 +429,24 @@ class TestMappingSearch:
             return original(name, circuit)
 
         monkeypatch.setattr(StageRecord, "of", counting)
-        transpile(build_full_circuit(SecretString.from_string("101")), QUITO, opt=opt)
-        assert built == names
+        _, report = transpile(build_full_circuit(SecretString.from_string("101")), QUITO, opt=opt)
+        assert built == [name for name in names if name != "map"]
+        assert [s.name for s in report.stages] == names
+
+    def test_explicit_compile_takes_one_depth_pass_per_record(self, monkeypatch):
+        """input and map share one depth pass: 4 with `opt`, not 5."""
+        calls = []
+        original = Circuit.depth
+
+        def counting(circuit):
+            calls.append(circuit)
+            return original(circuit)
+
+        monkeypatch.setattr(Circuit, "depth", counting)
+        circuit = build_full_circuit(SecretString.from_string("101"))
+        _, report = transpile(circuit, QUITO, mapping=QubitMapping.identity(circuit.width))
+        assert len(calls) == 4
+        assert report.stages[0].depth == report.stages[1].depth == original(circuit)
 
     @pytest.mark.parametrize("mapping,calls", [(None, 13), (QubitMapping((0, 1, 2, 3)), 1)], ids=["auto", "explicit"])
     def test_each_distinct_routed_circuit_compiled_once(self, monkeypatch, mapping, calls):
