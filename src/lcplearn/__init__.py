@@ -34,16 +34,10 @@ from .quantum import (
     r_operator,
     run_quantum_learn,
 )
-from .statevector import (
-    Statevector,
-    equal_up_to_global_phase,
-    init_basis,
-    simulate,
-)
+from .statevector import Statevector, init_basis, simulate
 from .synth import (
     WalshSpectrum,
     build_full_circuit,
-    decompose_H,
     synth_R,
     synth_diagonal,
     walsh_decompose,
@@ -54,7 +48,6 @@ from .transpile import (
     QubitMapping,
     optimize,
     rewrite_to_device,
-    route_cnot,
     transpile,
 )
 
@@ -74,9 +67,9 @@ __all__ = [
     "PassReport",
     "PhaseOracle",
     "QuantumRunResult",
+    "QubitMapping",
     "Query",
     "QueryLedger",
-    "QubitMapping",
     "RZ",
     "RoundTrace",
     "SX",
@@ -88,8 +81,6 @@ __all__ = [
     "build_full_circuit",
     "build_round_circuit",
     "certify_round",
-    "decompose_H",
-    "equal_up_to_global_phase",
     "estimate_asp",
     "exact_asp",
     "f",
@@ -104,7 +95,6 @@ __all__ = [
     "q_shift",
     "r_operator",
     "rewrite_to_device",
-    "route_cnot",
     "run_noisy",
     "run_quantum_learn",
     "serialize",

@@ -94,7 +94,7 @@ def _cmd_synth(parser, args) -> int:
     if s.n < 2:
         parser.error("synth needs a secret of at least 2 bits")
     try:
-        circuit, oracle_block = _build(s, args.t, not args.no_gray)
+        circuit, oracle_block = _build(s, args.t)
     except ValueError as exc:
         parser.error(str(exc))
     try:
@@ -105,7 +105,7 @@ def _cmd_synth(parser, args) -> int:
         return 1
     _report(
         "synth",
-        {"secret": str(s), "t": args.t, "gray": not args.no_gray},
+        {"secret": str(s), "t": args.t},
         {
             "out": args.out,
             "width": circuit.width,
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="emit the full learner circuit as text")
     p.add_argument("--secret", required=True)
     p.add_argument("--t", type=int, default=None, help="override the q register width")
-    p.add_argument("--no-gray", action="store_true", help="per-term compute/uncompute chains")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("transpile", help="fit a circuit file onto a coupling graph")

@@ -255,6 +255,17 @@ def _pair_round(rc: RoundCircuit, prefix: int, n: int) -> int:
     return k
 
 
+def _classical_tail(
+    s: SecretString, x_bits: tuple[int, ...], ledger: QueryLedger | None = None
+) -> tuple[int, ...]:
+    """The odd-n fix-up: x_bits with its last bit settled by one classical
+    query (x, n-1), which answers 1 iff x also agrees with s on bit n;
+    a 0 answer flips that bit."""
+    if f(s, Query(x_bits, s.n - 1), ledger):
+        return x_bits
+    return x_bits[:-1] + (x_bits[-1] ^ 1,)
+
+
 def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:
     """Recover the secret with ceil(n/2) total oracle interactions.
 
@@ -286,9 +297,7 @@ def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:
             x_bits = tuple(int(c) for c in format(prefix, f"0{width}b")) + x_bits[width:]
 
     if layout.uses_classical_tail:
-        answer = f(s, Query(x_bits, n - 1), ledger)
-        last = x_bits[n - 1] if answer == 1 else x_bits[n - 1] ^ 1
-        x_bits = x_bits[: n - 1] + (last,)
+        x_bits = _classical_tail(s, x_bits, ledger)
 
     return QuantumRunResult(
         recovered=x_bits,

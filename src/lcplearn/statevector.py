@@ -121,10 +121,3 @@ def _equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     lam = a.flat[k] / ref
     lam /= abs(lam)
     return float(np.max(np.abs(a - lam * b))) <= tol
-
-
-def equal_up_to_global_phase(a: Statevector, b: Statevector, tol: float = NORM_TOL) -> bool:
-    """True iff a == lam * b for some unit-modulus lam, to max-norm tol."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states have different widths")
-    return _equal_up_to_phase(a.amps, b.amps, tol)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CX, H, RZ, SX, X, Z, Circuit, Gate
+from .circuit import CX, H, RZ, X, Z, Circuit, Gate
 from .oracle import SecretString, oracle_diagonal
 from .quantum import AlgorithmLayout, q_shift
 
@@ -31,10 +31,6 @@ class WalshSpectrum:
 
     width: int
     coefficients: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """phi(b) = sum_w c_w * (-1)^(w.b), via the same transform."""
-        return _walsh_transform(self.coefficients.copy())
 
 
 def _walsh_transform(values: np.ndarray) -> np.ndarray:
@@ -101,35 +97,13 @@ def _gray_group(
     return gates
 
 
-def _naive_group(spectrum: WalshSpectrum, target: int, tol: float) -> list[Gate]:
-    """Per-mask compute/uncompute chains, no sharing."""
-    m = spectrum.width
-    p_target = m - target
-    gates: list[Gate] = []
-    for j in range(1 << (target - 1)):
-        w = 1 << p_target
-        for p in range(target - 1):
-            if (j >> p) & 1:
-                w |= 1 << (p_target + 1 + p)
-        coeff = spectrum.coefficients[w]
-        if abs(coeff) <= tol:
-            continue
-        controls = [target - 1 - p for p in range(target - 1) if (j >> p) & 1]
-        for c in controls:
-            gates.append(CX(c, target))
-        gates.append(RZ(-2.0 * coeff, target))
-        for c in reversed(controls):
-            gates.append(CX(c, target))
-    return gates
-
-
 def _check_synth_width(width: int) -> None:
     """Refuse a diagonal wider than MAX_SYNTH_QUBITS before transforming it."""
     if width > MAX_SYNTH_QUBITS:
         raise ValueError(f"diagonal synthesis limited to {MAX_SYNTH_QUBITS} qubits")
 
 
-def synth_diagonal(signs: np.ndarray, gray: bool = True) -> Circuit:
+def synth_diagonal(signs: np.ndarray) -> Circuit:
     """A {CX, RZ} circuit equal to diag(signs) up to global phase.
 
     The mask for each parity term selects a target qubit (its last
@@ -139,9 +113,8 @@ def synth_diagonal(signs: np.ndarray, gray: bool = True) -> Circuit:
     _check_synth_width(len(signs).bit_length() - 1)
     spectrum = walsh_decompose(signs)
     gates: list[Gate] = []
-    build = _gray_group if gray else _naive_group
     for target in range(1, spectrum.width + 1):
-        gates.extend(build(spectrum, target, COEFF_TOL))
+        gates.extend(_gray_group(spectrum, target, COEFF_TOL))
     return Circuit(spectrum.width, gates)
 
 
@@ -150,16 +123,7 @@ def synth_R() -> Circuit:
     return Circuit(2, [H(1), CX(1, 2), Z(1), X(2), H(1)])
 
 
-def decompose_H() -> Circuit:
-    """H as RZ(pi/2), SX, RZ(pi/2), up to global phase."""
-    return Circuit(1, [RZ(math.pi / 2, 1), SX(1), RZ(math.pi / 2, 1)])
-
-
-def build_full_circuit(
-    s: SecretString,
-    t: int | None = None,
-    gray: bool = True,
-) -> Circuit:
+def build_full_circuit(s: SecretString, t: int | None = None) -> Circuit:
     """The complete pre-transpilation learner circuit for secret s.
 
     Per round: the H pair, the q-register X mask,
@@ -167,10 +131,10 @@ def build_full_circuit(
     last secret bit still needs the one-query classical fix-up after
     measuring; the circuit covers the quantum part only.
     """
-    return _build(s, t, gray)[0]
+    return _build(s, t)[0]
 
 
-def _build(s: SecretString, t: int | None, gray: bool) -> tuple[Circuit, Circuit]:
+def _build(s: SecretString, t: int | None) -> tuple[Circuit, Circuit]:
     """`build_full_circuit`'s circuit and the synthesized oracle block it repeats."""
     if s.n < 2:
         raise ValueError("circuit construction needs n >= 2")
@@ -181,7 +145,7 @@ def _build(s: SecretString, t: int | None, gray: bool) -> tuple[Circuit, Circuit
     n = s.n
     width = n + t
     _check_synth_width(width)
-    oracle = synth_diagonal(oracle_diagonal(s, t), gray=gray)
+    oracle = synth_diagonal(oracle_diagonal(s, t))
 
     gates: list[Gate] = []
     for i in range(1, layout.rounds + 1):

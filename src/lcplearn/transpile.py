@@ -73,9 +73,6 @@ class CouplingGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return tuple(sorted((a, b))) in self.edges
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(self._adjacent.get(v, ()))
-
     def shortest_path(self, a: int, b: int) -> list[int]:
         for v in (a, b):
             if not 0 <= v < self.num_qubits:
@@ -124,6 +121,8 @@ class CouplingGraph:
             isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
         ):
             raise ValueError("edges must be a list of [a, b] integer pairs")
+        if qubits > len(edges) + 1:  # refused before any per-qubit allocation
+            raise ValueError(f"{qubits} qubits cannot be connected by {len(edges)} edges")
         return cls(qubits, frozenset(tuple(e) for e in edges))
 
     @classmethod
@@ -177,13 +176,6 @@ class QubitMapping:
     @classmethod
     def identity(cls, width: int) -> "QubitMapping":
         return cls(tuple(range(width)))
-
-
-def route_cnot(control: int, target: int, graph: CouplingGraph) -> Circuit:
-    """Coupling-legal realization of CX(control, target), as a fragment."""
-    if control == target:
-        raise ValueError("control and target must differ")
-    return Circuit(graph.num_qubits, graph.routes[control, target][0])
 
 
 def rewrite_to_device(circuit: Circuit) -> Circuit:

@@ -17,8 +17,8 @@ from ._streams import fill_uniform
 from .circuit import CX, Circuit, Gate, serialize
 from .classical import min_external_path_length, verify_optimality
 from .noise import NoiseProfile, estimate_asp, exact_asp
-from .oracle import Query, SecretString, f, oracle_diagonal
-from .quantum import CertificationError, certify_round, run_quantum_learn
+from .oracle import SecretString, oracle_diagonal
+from .quantum import CertificationError, _classical_tail, certify_round, run_quantum_learn
 from .statevector import _equal_up_to_phase, simulate
 from .synth import build_full_circuit, synth_diagonal
 from .transpile import CouplingGraph, QubitMapping, check_legal, optimize, rewrite_to_device, transpile
@@ -203,11 +203,9 @@ def _recovers_secret(circuit: Circuit, mapping, s: SecretString) -> bool:
     if outcome is None:
         return False
     x_bits = tuple(int(outcome[mapping[j]]) for j in range(s.n))
-    if s.n % 2 == 0:
-        return x_bits == s.bits
-    answer = f(s, Query(x_bits, s.n - 1))
-    last = x_bits[-1] if answer == 1 else x_bits[-1] ^ 1
-    return x_bits[: s.n - 1] + (last,) == s.bits
+    if s.n % 2:
+        x_bits = _classical_tail(s, x_bits)
+    return x_bits == s.bits
 
 
 def suite_transpile() -> list[CheckResult]:

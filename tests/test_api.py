@@ -1,0 +1,23 @@
+import lcplearn
+
+REMOVED = ("route_cnot", "decompose_H", "equal_up_to_global_phase")
+
+
+def test_every_exported_name_resolves():
+    for name in lcplearn.__all__:
+        assert getattr(lcplearn, name) is not None, name
+
+
+def test_exports_are_sorted_and_unique():
+    assert lcplearn.__all__ == sorted(set(lcplearn.__all__))
+
+
+def test_second_entry_points_are_gone():
+    """Each removed name re-entered code that is still reachable:
+    `CouplingGraph.routes`, the H rule of `rewrite_to_device`,
+    `statevector._equal_up_to_phase`, `synth._walsh_transform` and
+    `has_edge`."""
+    for name in REMOVED:
+        assert name not in lcplearn.__all__ and not hasattr(lcplearn, name)
+    assert not hasattr(lcplearn.WalshSpectrum, "reconstruct")
+    assert not hasattr(lcplearn.CouplingGraph, "neighbors")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lcplearn import parse, synth
+from lcplearn import CouplingGraph, parse, synth
 from lcplearn.cli import main
 
 
@@ -90,6 +90,18 @@ class TestSynth:
             main(["synth", "--secret", "1", "--out", str(tmp_path / "x.qasm")])
         assert err.value.code == 2
 
+    def test_parameters_name_only_the_secret_and_t(self, capsys, tmp_path):
+        code, doc, _ = run_cli(capsys, "synth", "--secret", "101", "--t", "4", "--out", str(tmp_path / "c.qasm"))
+        assert code == 0
+        assert doc["parameters"] == {"secret": "101", "t": 4}
+
+    def test_no_synthesis_option_besides_t(self, capsys, tmp_path):
+        """The Gray walk is the only synthesis; no flag selects another."""
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--secret", "00", "--no-gray", "--out", str(tmp_path / "c.qasm")])
+        assert err.value.code == 2
+        assert not (tmp_path / "c.qasm").exists()
+
     def test_unwritable_path_fails_cleanly(self, capsys, tmp_path):
         code = main(["synth", "--secret", "00", "--out", str(tmp_path / "missing" / "x.qasm")])
         capsys.readouterr()
@@ -151,6 +163,24 @@ class TestTranspile:
         assert err.value.code == 2
         assert captured.out == ""
         assert captured.err.startswith("transpile: bad --target") and captured.err.count("\n") == 1
+
+    def test_underconnected_target_is_refused_before_any_search(self, capsys, circuit_file, tmp_path, monkeypatch):
+        """10^8 qubits with no edges cannot be connected: refused from the
+        document's counts alone, before a neighbour list or a search."""
+
+        def fail(self, root):
+            raise AssertionError("searched a graph that was already refused")
+
+        monkeypatch.setattr(CouplingGraph, "_bfs", fail)
+        graph = tmp_path / "huge.json"
+        graph.write_text('{"qubits": 100000000, "edges": []}')
+        with pytest.raises(SystemExit) as err:
+            main(["transpile", "--in", str(circuit_file), "--target", str(graph)])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("transpile: bad --target") and captured.err.count("\n") == 1
+        assert "cannot be connected" in captured.err
 
     def test_auto_map_over_the_search_limit_is_usage_error(self, capsys, tmp_path):
         circuit = tmp_path / "in.qasm"

@@ -15,10 +15,10 @@ from lcplearn import (
     Circuit,
     SecretString,
     build_full_circuit,
-    decompose_H,
     init_basis,
     oracle_diagonal,
     r_operator,
+    rewrite_to_device,
     run_quantum_learn,
     simulate,
     synth_R,
@@ -27,7 +27,7 @@ from lcplearn import (
 )
 from lcplearn import synth
 from lcplearn.oracle import Query, f
-from lcplearn.synth import COEFF_TOL, WalshSpectrum, _gray_group
+from lcplearn.synth import COEFF_TOL, WalshSpectrum, _gray_group, _walsh_transform
 
 
 def mat_equal_up_to_phase(a, b, tol=1e-9):
@@ -37,6 +37,16 @@ def mat_equal_up_to_phase(a, b, tol=1e-9):
     lam = a.flat[k] / b.flat[k]
     lam /= abs(lam)
     return float(np.max(np.abs(a - lam * b))) <= tol
+
+
+def reconstruct(spectrum):
+    """phi(b) = sum_w c_w * (-1)^(w.b); the transform is its own inverse up to 2^m."""
+    return _walsh_transform(spectrum.coefficients.copy())
+
+
+def decompose_H():
+    """The H rule of the device rewrite, on its own."""
+    return rewrite_to_device(Circuit(1, [H(1)]))
 
 
 def all_secrets(n):
@@ -58,7 +68,7 @@ class TestWalsh:
         signs = np.array([-1, -1, -1, 1, 1, 1, 1, 1], dtype=float)
         spectrum = walsh_decompose(signs)
         phi = math.pi * (1.0 - signs) / 2.0
-        assert np.max(np.abs(spectrum.reconstruct() - phi)) < 1e-12
+        assert np.max(np.abs(reconstruct(spectrum) - phi)) < 1e-12
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(2)
@@ -67,7 +77,7 @@ class TestWalsh:
             signs = rng.choice([-1.0, 1.0], size=1 << m)
             spectrum = walsh_decompose(signs)
             phi = math.pi * (1.0 - signs) / 2.0
-            assert np.max(np.abs(spectrum.reconstruct() - phi)) < 1e-12
+            assert np.max(np.abs(reconstruct(spectrum) - phi)) < 1e-12
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -121,13 +131,6 @@ class TestSynthDiagonal:
         for target in range(1, m + 1):
             gates = _gray_group(spectrum, target, COEFF_TOL)
             assert sum(g.kind == "cx" for g in gates) <= 1 << (target - 1)
-
-    def test_naive_mode_equivalent_but_longer(self):
-        signs = oracle_diagonal(SecretString.from_string("10"), 1)
-        gray = synth_diagonal(signs, gray=True)
-        naive = synth_diagonal(signs, gray=False)
-        assert mat_equal_up_to_phase(gray.unitary(), naive.unitary())
-        assert naive.gate_counts()["cx"] >= gray.gate_counts()["cx"]
 
     def test_gate_level_matches_fast_path_on_random_states(self):
         """Cross-module check: synthesized circuit vs direct sign multiply."""

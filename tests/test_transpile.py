@@ -21,7 +21,6 @@ from lcplearn import (
     build_full_circuit,
     optimize,
     rewrite_to_device,
-    route_cnot,
     serialize,
     simulate,
     transpile,
@@ -70,7 +69,6 @@ def assert_every_pair_routes_as_a_ladder(graph):
         ladders = graph.routes[a, b]
         path = graph.shortest_path(a, b)
         d = len(path) - 1
-        assert route_cnot(a, b, graph).gates == ladders[0]
         assert ladders[1] == ladders[0][::-1]
         expected = Circuit(width, [CX(a + 1, b + 1)]).unitary()
         for ladder in ladders:
@@ -84,7 +82,7 @@ class TestCouplingGraph:
     def test_quito_shape(self):
         assert QUITO.num_qubits == 5
         assert QUITO.edges == frozenset({(0, 1), (1, 2), (1, 3), (3, 4)})
-        assert QUITO.neighbors(1) == [0, 2, 3]
+        assert [v for v in range(5) if QUITO.has_edge(1, v)] == [0, 2, 3]
 
     def test_linear3(self):
         assert LINEAR3.edges == frozenset({(0, 1), (1, 2)})
@@ -111,6 +109,22 @@ class TestCouplingGraph:
         with pytest.raises(ValueError):
             CouplingGraph.from_dict(data)
 
+    @pytest.mark.parametrize("qubits,edges", [(2, []), (3, [[0, 1]]), (4, [[0, 1], [0, 1]])])
+    def test_from_dict_rejects_too_few_edges_before_building(self, monkeypatch, qubits, edges):
+        """A connected graph needs qubits - 1 edges; fewer is refused
+        before any per-qubit structure or search."""
+
+        def fail(self, root):
+            raise AssertionError("searched a graph that was already refused")
+
+        monkeypatch.setattr(CouplingGraph, "_bfs", fail)
+        with pytest.raises(ValueError, match="cannot be connected"):
+            CouplingGraph.from_dict({"qubits": qubits, "edges": edges})
+
+    def test_from_dict_single_qubit_needs_no_edge(self):
+        graph = CouplingGraph.from_dict({"qubits": 1, "edges": []})
+        assert (graph.num_qubits, graph.edges) == (1, frozenset())
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
@@ -122,14 +136,9 @@ class TestCouplingGraph:
         with pytest.raises(ValueError):
             CouplingGraph.named("melbourne")
 
-    def test_search_reads_the_adjacency_built_at_construction(self, monkeypatch):
-        """A path search on a 1000-line needs no `neighbors` call."""
+    def test_search_reads_the_adjacency_built_at_construction(self):
+        """A path search runs end to end across a 1000-line."""
         line = CouplingGraph.linear(1000)
-
-        def fail(self, v):
-            raise AssertionError("neighbours rescanned")
-
-        monkeypatch.setattr(CouplingGraph, "neighbors", fail)
         assert line.shortest_path(0, 999) == list(range(1000))
 
 
@@ -145,29 +154,29 @@ class TestMapping:
 
 class TestRouting:
     def test_adjacent_pair_is_single_cx(self):
-        assert route_cnot(0, 1, QUITO).gates == (CX(1, 2),)
+        assert QUITO.routes[0, 1][0] == (CX(1, 2),)
 
     def test_distance_two_uses_four_cnots(self):
-        fragment = route_cnot(0, 2, QUITO)
-        assert fragment.gate_counts()["cx"] == 4
-        got = Circuit(3, [g for g in fragment.gates]).unitary()
+        ladder = QUITO.routes[0, 2][0]
+        assert len(ladder) == 4 and all(g.kind == "cx" for g in ladder)
+        got = Circuit(3, ladder).unitary()
         assert np.allclose(got, Circuit(3, [CX(1, 3)]).unitary())
 
     def test_distance_three_unitary(self):
-        fragment = route_cnot(0, 4, QUITO)
-        assert np.allclose(fragment.unitary(), Circuit(5, [CX(1, 5)]).unitary())
+        ladder = QUITO.routes[0, 4][0]
+        assert np.allclose(Circuit(5, ladder).unitary(), Circuit(5, [CX(1, 5)]).unitary())
 
     def test_routed_cx_stays_on_edges(self):
         for a in range(5):
             for b in range(5):
                 if a == b:
                     continue
-                fragment = route_cnot(a, b, QUITO)
-                assert all(QUITO.has_edge(g.qubits[0] - 1, g.qubits[1] - 1) for g in fragment.gates)
+                ladder = QUITO.routes[a, b][0]
+                assert all(QUITO.has_edge(g.qubits[0] - 1, g.qubits[1] - 1) for g in ladder)
 
     def test_same_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            route_cnot(2, 2, QUITO)
+        with pytest.raises(ValueError, match="endpoints must differ"):
+            QUITO.routes[2, 2]
 
     def test_every_pair_on_a_line(self):
         """CX(a, b) at distance d routes to one CNOT at d = 1 and 4(d - 1)
@@ -175,7 +184,7 @@ class TestRouting:
         line = CouplingGraph.linear(7)
         for a, b in itertools.permutations(range(7), 2):
             d = abs(a - b)
-            assert route_cnot(a, b, line).gate_counts()["cx"] == (1 if d == 1 else 4 * (d - 1))
+            assert len(line.routes[a, b][0]) == (1 if d == 1 else 4 * (d - 1))
         assert_every_pair_routes_as_a_ladder(line)
 
     @pytest.mark.parametrize("graph", [QUITO, RING6], ids=["quito", "ring6"])
@@ -191,7 +200,7 @@ class TestRouting:
         with pytest.raises(ValueError, match="not on this 5-qubit graph"):
             QUITO.shortest_path(a, b)
         with pytest.raises(ValueError, match="not on this 5-qubit graph"):
-            route_cnot(a, b, QUITO)
+            QUITO.routes[a, b]
 
     def test_repeated_long_cx_alternates_and_preserves_unitary(self):
         """Repeat occurrences of a routed pair use the reversed ladder."""
@@ -199,7 +208,7 @@ class TestRouting:
         circuit = Circuit(5, [CX(1, 4), H(2), CX(1, 4), RZ(0.3, 4), CX(1, 4), CX(5, 3), X(1), CX(5, 3)])
         routed = Circuit(5, _route(circuit, (0, 1, 2, 3, 4), line, {}))
         assert check_legal(routed, line)[1]
-        far, near = len(route_cnot(0, 3, line)), len(route_cnot(4, 2, line))
+        far, near = len(line.routes[0, 3][0]), len(line.routes[4, 2][0])
         assert (far, near) == (8, 4)  # distance 3 and distance 2
         gates = routed.gates
         first, second, third = gates[:far], gates[far + 1 : 2 * far + 1], gates[2 * far + 2 : 3 * far + 2]
@@ -220,7 +229,7 @@ class TestRouting:
         assert final.gate_counts()["cx"] == report.final_counts["cx"] == 1192
         assert report.legal
         assert list(line.routes) == [(0, 299)]
-        assert route_cnot(0, 299, line).gates == line.routes[0, 299][0]
+        assert len(line.routes[0, 299][0]) == 1192
         assert list(line.routes) == [(0, 299)]
 
 
