@@ -11,7 +11,10 @@ X/Z/H/SX/RZ/CX and wrap them in a Circuit.
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -22,6 +25,9 @@ GATE_KINDS = ("x", "z", "h", "sx", "rz", "cx")
 ANGLE_TOL = 1e-12  # structural equality tolerance for RZ angles
 
 _TWO_PI = 2.0 * math.pi
+
+_KIND = attrgetter("kind")
+_QUBITS = attrgetter("qubits")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +51,7 @@ class Gate:
                 raise ValueError("rz requires a finite angle")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} takes no angle")
-        if any(q < 1 for q in self.qubits):
+        if min(self.qubits) < 1:
             raise ValueError("qubit indices are 1-based")
 
     def __eq__(self, other):
@@ -99,9 +105,10 @@ class Circuit:
         if self.width < 1:
             raise ValueError("circuit width must be >= 1")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if any(q > self.width for q in g.qubits):
-                raise ValueError(f"gate {g} out of range for width {self.width}")
+        if self.gates and max(chain.from_iterable(map(_QUBITS, self.gates))) > self.width:
+            for g in self.gates:  # name the first gate out of range
+                if any(q > self.width for q in g.qubits):
+                    raise ValueError(f"gate {g} out of range for width {self.width}")
 
     def __eq__(self, other):
         if not isinstance(other, Circuit):
@@ -115,16 +122,17 @@ class Circuit:
         """Longest dependency chain; gates on disjoint qubits co-schedule."""
         level = [0] * (self.width + 1)
         for g in self.gates:
-            d = 1 + max(level[q] for q in g.qubits)
-            for q in g.qubits:
-                level[q] = d
+            if g.kind == "cx":
+                a, b = g.qubits
+                da, db = level[a], level[b]
+                level[a] = level[b] = (da if da > db else db) + 1
+            else:
+                level[g.qubits[0]] += 1
         return max(level)
 
     def gate_counts(self) -> dict[str, int]:
-        counts = {k: 0 for k in GATE_KINDS}
-        for g in self.gates:
-            counts[g.kind] += 1
-        return counts
+        counts = Counter(map(_KIND, self.gates))
+        return {k: counts[k] for k in GATE_KINDS}
 
     def unitary(self) -> np.ndarray:
         """The circuit's 2^width x 2^width unitary; column j is U|j>.

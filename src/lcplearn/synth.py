@@ -34,15 +34,16 @@ class WalshSpectrum:
 
 
 def _walsh_transform(values: np.ndarray) -> np.ndarray:
-    """In-place fast transform with kernel (-1)^popcount(w & b)."""
+    """In-place fast transform with kernel (-1)^popcount(w & b).
+
+    At stride h each block of 2h entries is a pair of views (a, b), and
+    every butterfly is the same two float operations: a + b, a - b.
+    """
     n = values.shape[0]
     h = 1
     while h < n:
-        for start in range(0, n, h * 2):
-            for j in range(start, start + h):
-                a, b = values[j], values[j + h]
-                values[j] = a + b
-                values[j + h] = a - b
+        a, b = values.reshape(-1, 2, h).swapaxes(0, 1)
+        a[...], b[...] = a + b, a - b
         h *= 2
     return values
 

@@ -15,12 +15,11 @@ uses internal qubit p+1 for Qp, so the serialized q[p] is exactly Qp.
 import itertools
 import json
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .circuit import CX, RZ, SX, Circuit, Gate
+from .circuit import _KIND, _QUBITS, CX, RZ, SX, Circuit, Gate
 
 DEVICE_GATES = frozenset({"cx", "rz", "sx", "x"})
 
@@ -29,9 +28,6 @@ ZERO_ANGLE_TOL = 1e-12
 MAX_SWEEPS = 50
 
 AUTO_MAP_LIMIT = 2520  # candidate mappings an exhaustive search may compile: P(7, 5)
-
-_KIND = operator.attrgetter("kind")
-_QUBITS = operator.attrgetter("qubits")
 
 
 def _is_int(value) -> bool:
@@ -194,28 +190,6 @@ def rewrite_to_device(circuit: Circuit) -> Circuit:
     return Circuit(circuit.width, gates)
 
 
-# Commutation typing: on each qubit a gate acts diagonally ('d'), as a
-# function of X ('x'), or neither.  Two gates commute when they share no
-# qubit or match types on every shared qubit.
-def _axis(gate: Gate, qubit: int) -> str:
-    if gate.kind in ("z", "rz"):
-        return "d"
-    if gate.kind in ("x", "sx"):
-        return "x"
-    if gate.kind == "cx":
-        return "d" if qubit == gate.qubits[0] else "x"
-    return "?"
-
-
-def _commutes(g1: Gate, g2: Gate) -> bool:
-    shared = set(g1.qubits) & set(g2.qubits)
-    for q in shared:
-        a1, a2 = _axis(g1, q), _axis(g2, q)
-        if a1 != a2 or a1 == "?":
-            return False
-    return True
-
-
 def _norm_angle(theta: float) -> float:
     """Wrap into (-pi, pi]; changes at most the global phase of RZ."""
     theta = math.fmod(theta, 2.0 * math.pi)
@@ -227,7 +201,11 @@ def _norm_angle(theta: float) -> float:
 
 
 def _merge_rz(gates: list[Gate]) -> bool:
-    """Merge rotation pairs through commuting intermediates; drop zeros."""
+    """Merge rotation pairs through commuting intermediates; drop zeros.
+
+    An RZ on q commutes with a Z on q and with a CX whose control is q;
+    any other gate on q (H included) blocks it.
+    """
     changed = False
     i = 0
     while i < len(gates):
@@ -243,14 +221,16 @@ def _merge_rz(gates: list[Gate]) -> bool:
         merged = False
         for j in range(i + 1, len(gates)):
             other = gates[j]
-            if q not in other.qubits:
+            qubits = other.qubits
+            if q not in qubits:
                 continue
-            if other.kind == "rz":
+            kind = other.kind
+            if kind == "rz":
                 gates[i] = RZ(_norm_angle(g.theta + other.theta), q)
                 del gates[j]
                 changed = merged = True
                 break
-            if not _commutes(g, other):
+            if kind != "z" and not (kind == "cx" and qubits[0] == q):
                 break
         if not merged:
             i += 1
@@ -258,7 +238,12 @@ def _merge_rz(gates: list[Gate]) -> bool:
 
 
 def _cancel_cx(gates: list[Gate]) -> bool:
-    """Cancel identical CNOT pairs through commuting intermediates."""
+    """Cancel identical CNOT pairs through commuting intermediates.
+
+    A gate commutes with CX(c, t) when it acts diagonally on c (Z, RZ, a
+    CX's control) and as a function of X on t (X, SX, a CX's target);
+    any other gate on c or t (H included) blocks it.
+    """
     changed = False
     i = 0
     while i < len(gates):
@@ -266,17 +251,25 @@ def _cancel_cx(gates: list[Gate]) -> bool:
         if g.kind != "cx":
             i += 1
             continue
+        c, t = g.qubits
         cancelled = False
         for j in range(i + 1, len(gates)):
             other = gates[j]
-            if not set(g.qubits) & set(other.qubits):
+            if other.kind == "cx":
+                c2, t2 = other.qubits
+                if c2 == c and t2 == t:
+                    del gates[j]
+                    del gates[i]
+                    changed = cancelled = True
+                    break
+                if c2 == t or t2 == c:
+                    break
                 continue
-            if other.kind == "cx" and other.qubits == g.qubits:
-                del gates[j]
-                del gates[i]
-                changed = cancelled = True
-                break
-            if not _commutes(g, other):
+            q = other.qubits[0]
+            if q == c:
+                if other.kind not in ("z", "rz"):
+                    break
+            elif q == t and other.kind not in ("x", "sx"):
                 break
         if not cancelled:
             i += 1
@@ -298,23 +291,23 @@ def _canonicalize_runs(gates: list[Gate]) -> bool:
             i += 1
             continue
         c, t = g.qubits
-        start = i
-        while start > 0 and gates[start - 1].kind == "rz" and gates[start - 1].qubits[0] == t:
-            start -= 1
+        pair = (c, t)
+        k = 1
         end = i + 1
         while end < len(gates):
             nxt = gates[end]
-            if nxt.kind == "cx" and nxt.qubits == (c, t):
-                end += 1
-            elif nxt.kind == "rz" and nxt.qubits[0] == t:
-                end += 1
-            else:
+            if nxt.qubits == pair:  # only a CX has two qubits
+                k += 1
+            elif nxt.kind != "rz" or nxt.qubits[0] != t:
                 break
-        run = gates[start:end]
-        k = sum(1 for h in run if h.kind == "cx")
+            end += 1
         if k < 2:
             i = end
             continue
+        start = i
+        while start > 0 and gates[start - 1].kind == "rz" and gates[start - 1].qubits[0] == t:
+            start -= 1
+        run = gates[start:end]
         even = odd = 0.0
         seen = 0
         for h in run:
@@ -390,7 +383,9 @@ class PassReport:
 def optimize(circuit: Circuit) -> tuple[Circuit, PassReport]:
     """Fixed-point peephole pass; gate count never increases.
 
-    The report carries only the sweep count; its `stages` is empty.
+    The report carries only the sweep count; its `stages` is empty.  A
+    circuit still changing after MAX_SWEEPS sweeps is refused with
+    ValueError, which bounds the work an adversarial input can cause.
     """
     gates = list(circuit.gates)
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -400,20 +395,19 @@ def optimize(circuit: Circuit) -> tuple[Circuit, PassReport]:
         if not changed:
             break
     else:
-        raise RuntimeError(f"peephole pass did not converge in {MAX_SWEEPS} sweeps")
-    gates = [RZ(_norm_angle(g.theta), g.qubits[0]) if g.kind == "rz" else g for g in gates]
+        raise ValueError(f"peephole pass needs more than MAX_SWEEPS = {MAX_SWEEPS} sweeps")
+    gates = [
+        g if g.kind != "rz" or _norm_angle(g.theta) == g.theta else RZ(_norm_angle(g.theta), g.qubits[0])
+        for g in gates
+    ]
     return Circuit(circuit.width, gates), PassReport(sweeps=sweep)
 
 
 def check_legal(circuit: Circuit, graph: CouplingGraph) -> tuple[bool, bool]:
     """(gate set legal, every CX on a coupling edge)."""
-    kinds_ok = all(g.kind in DEVICE_GATES for g in circuit.gates)
-    edges_ok = all(
-        graph.has_edge(g.qubits[0] - 1, g.qubits[1] - 1)
-        for g in circuit.gates
-        if g.kind == "cx"
-    )
-    return kinds_ok, edges_ok
+    kinds_ok = DEVICE_GATES.issuperset(map(_KIND, circuit.gates))
+    pairs = {g.qubits for g in circuit.gates if g.kind == "cx"}
+    return kinds_ok, all(graph.has_edge(c - 1, t - 1) for c, t in pairs)
 
 
 def _route(circuit: Circuit, physical: tuple[int, ...], graph: CouplingGraph, mapped: dict) -> list[Gate]:

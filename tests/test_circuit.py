@@ -35,6 +35,9 @@ class TestGateValidation:
     def test_circuit_rejects_out_of_range_gate(self):
         with pytest.raises(ValueError, match="out of range"):
             Circuit(1, [CX(1, 2)])
+        # the message names the first gate out of range, however many precede it
+        with pytest.raises(ValueError, match=r"^gate CX\(2, 4\) out of range for width 3$"):
+            Circuit(3, [X(1)] * 100 + [CX(2, 4)])
 
 
 class TestDepth:

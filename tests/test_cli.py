@@ -204,6 +204,32 @@ class TestTranspile:
         assert captured.out == ""
         assert captured.err.startswith("transpile: parse failure") and captured.err.count("\n") == 1
 
+    @staticmethod
+    def cancellable_word(tmp_path, depth):
+        """`depth` CXs alternating between q[0],q[1] and q[1],q[2], then their
+        mirror image: the identity, which the peephole fixed point reaches
+        in depth / 2 + 1 sweeps."""
+        word = ["cx q[0],q[1];", "cx q[1],q[2];"] * (depth // 2)
+        path = tmp_path / f"word{depth}.qasm"
+        path.write_text("\n".join(["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[3];", *word, *word[::-1]]) + "\n")
+        return path
+
+    def test_cancellable_word_within_the_sweep_cap_compiles_to_nothing(self, capsys, tmp_path):
+        path = self.cancellable_word(tmp_path, 60)  # 120 gates
+        code, doc, _ = run_cli(capsys, "transpile", "--in", str(path), "--target", "linear3", "--mapping", "0,1,2")
+        assert code == 0
+        assert sum(doc["report"]["stages"][-1]["counts"].values()) == 0
+        assert doc["report"]["sweeps"] == 31
+
+    def test_word_past_the_sweep_cap_is_refused(self, capsys, tmp_path):
+        path = self.cancellable_word(tmp_path, 120)  # 240 gates
+        with pytest.raises(SystemExit) as err:
+            main(["transpile", "--in", str(path), "--target", "linear3", "--mapping", "0,1,2"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "MAX_SWEEPS = 50" in captured.err and "Traceback" not in captured.err
+
     def test_unwritable_out_fails_cleanly(self, capsys, circuit_file, tmp_path):
         code = main([
             "transpile", "--in", str(circuit_file), "--target", "linear3",

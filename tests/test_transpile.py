@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import json
@@ -311,6 +312,224 @@ class TestOptimize:
         assert mat_equal_up_to_phase(circuit.unitary(), out.unitary())
 
 
+# The passes as they were before their commutation tests were inlined:
+# the reference `optimize` must match rewrite for rewrite.
+def reference_axis(gate, qubit):
+    """On `qubit`, `gate` acts diagonally ('d'), as a function of X ('x'),
+    or neither ('?')."""
+    if gate.kind in ("z", "rz"):
+        return "d"
+    if gate.kind in ("x", "sx"):
+        return "x"
+    if gate.kind == "cx":
+        return "d" if qubit == gate.qubits[0] else "x"
+    return "?"
+
+
+def reference_commutes(g1, g2):
+    """Gates commute when they share no qubit or match types on every shared qubit."""
+    for q in set(g1.qubits) & set(g2.qubits):
+        a1, a2 = reference_axis(g1, q), reference_axis(g2, q)
+        if a1 != a2 or a1 == "?":
+            return False
+    return True
+
+
+def reference_merge_rz(gates):
+    norm, tol = transpile_module._norm_angle, transpile_module.ZERO_ANGLE_TOL
+    changed = False
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        if g.kind != "rz":
+            i += 1
+            continue
+        q = g.qubits[0]
+        if abs(norm(g.theta)) <= tol:
+            del gates[i]
+            changed = True
+            continue
+        merged = False
+        for j in range(i + 1, len(gates)):
+            other = gates[j]
+            if q not in other.qubits:
+                continue
+            if other.kind == "rz":
+                gates[i] = RZ(norm(g.theta + other.theta), q)
+                del gates[j]
+                changed = merged = True
+                break
+            if not reference_commutes(g, other):
+                break
+        if not merged:
+            i += 1
+    return changed
+
+
+def reference_cancel_cx(gates):
+    changed = False
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        if g.kind != "cx":
+            i += 1
+            continue
+        cancelled = False
+        for j in range(i + 1, len(gates)):
+            other = gates[j]
+            if not set(g.qubits) & set(other.qubits):
+                continue
+            if other.kind == "cx" and other.qubits == g.qubits:
+                del gates[j]
+                del gates[i]
+                changed = cancelled = True
+                break
+            if not reference_commutes(g, other):
+                break
+        if not cancelled:
+            i += 1
+    return changed
+
+
+def reference_canonicalize_runs(gates):
+    norm, tol = transpile_module._norm_angle, transpile_module.ZERO_ANGLE_TOL
+    changed = False
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        if g.kind != "cx":
+            i += 1
+            continue
+        c, t = g.qubits
+        start = i
+        while start > 0 and gates[start - 1].kind == "rz" and gates[start - 1].qubits[0] == t:
+            start -= 1
+        end = i + 1
+        while end < len(gates):
+            nxt = gates[end]
+            if nxt.kind == "cx" and nxt.qubits == (c, t):
+                end += 1
+            elif nxt.kind == "rz" and nxt.qubits[0] == t:
+                end += 1
+            else:
+                break
+        run = gates[start:end]
+        k = sum(1 for h in run if h.kind == "cx")
+        if k < 2:
+            i = end
+            continue
+        even = odd = 0.0
+        seen = 0
+        for h in run:
+            if h.kind == "cx":
+                seen += 1
+            elif seen % 2 == 0:
+                even += h.theta
+            else:
+                odd += h.theta
+        e, o = norm(even), norm(odd)
+        new_run = []
+        if abs(e) > tol:
+            new_run.append(RZ(e, t))
+        if k % 2 == 0:
+            if abs(o) > tol:
+                new_run.extend([CX(c, t), RZ(o, t), CX(c, t)])
+        else:
+            new_run.append(CX(c, t))
+            if abs(o) > tol:
+                new_run.append(RZ(o, t))
+        if len(new_run) < len(run):
+            gates[start:end] = new_run
+            changed = True
+            i = start + len(new_run)
+        else:
+            i = end
+    return changed
+
+
+REFERENCE_PASSES = (reference_cancel_cx, reference_merge_rz, reference_canonicalize_runs)
+
+
+def reference_optimize(circuit, fired):
+    """(final gates, sweeps) of the reference passes; adds to `fired` the
+    name of every pass that rewrote something."""
+    gates = list(circuit.gates)
+    for sweep in range(1, transpile_module.MAX_SWEEPS + 1):
+        changed = False
+        for rewrite in REFERENCE_PASSES:
+            if rewrite(gates):
+                fired.add(rewrite.__name__)
+                changed = True
+        if not changed:
+            break
+    norm = transpile_module._norm_angle
+    return [RZ(norm(g.theta), g.qubits[0]) if g.kind == "rz" else g for g in gates], sweep
+
+
+def exact(gates):
+    """Gates as (kind, qubits, angle bits): equal only when serialized alike."""
+    return [(g.kind, g.qubits, None if g.theta is None else g.theta.hex()) for g in gates]
+
+
+def peephole_circuit(rng, width):
+    """Random gates of every kind, CX and RZ heavy, CXs mostly between
+    neighbours and RZ angles often multiples of pi/2, so that every
+    rewrite of the peephole passes fires."""
+    gates = []
+    for _ in range(int(rng.integers(1, 80))):
+        kind = str(rng.choice(["x", "z", "h", "sx", "rz", "rz", "cx", "cx", "cx"]))
+        if kind == "cx":
+            if rng.random() < 0.8:
+                a = int(rng.integers(1, width))
+                pair = (a, a + 1) if rng.random() < 0.5 else (a + 1, a)
+            else:
+                pair = tuple(int(q) + 1 for q in rng.choice(width, size=2, replace=False))
+            gates.append(CX(*pair))
+        elif kind == "rz":
+            theta = rng.uniform(-4.0, 4.0) if rng.random() < 0.5 else int(rng.integers(-4, 5)) * math.pi / 2
+            gates.append(RZ(float(theta), int(rng.integers(1, width + 1))))
+        else:
+            gates.append(Gate(kind, (int(rng.integers(1, width + 1)),)))
+    return Circuit(width, gates)
+
+
+# every gate over the six kinds on three qubits
+GATES_ON_3 = [
+    Gate(kind, (q,), 0.5 if kind == "rz" else None) for kind in ("x", "z", "h", "sx", "rz") for q in (1, 2, 3)
+] + [CX(a, b) for a, b in itertools.permutations((1, 2, 3), 2)]
+
+
+class TestPeepholeAgainstReference:
+    @pytest.mark.parametrize("first", [g for g in GATES_ON_3 if g.kind in ("cx", "rz")], ids=repr)
+    def test_inlined_commutation_agrees_with_the_reference(self, first):
+        """A CX cancels, and an RZ merges, with its copy across `other`
+        exactly when the reference says `first` and `other` commute;
+        `other` runs over every gate on up to three qubits."""
+        rewrite = transpile_module._cancel_cx if first.kind == "cx" else transpile_module._merge_rz
+        second = first if first.kind == "cx" else RZ(0.25, first.qubits[0])
+        for other in GATES_ON_3:
+            if other.kind == first.kind and other.qubits == first.qubits:
+                continue  # the pair meets directly, with nothing between
+            gates = [first, other, second]
+            rewrite(gates)
+            assert (len(gates) < 3) == reference_commutes(first, other), other
+
+    def test_optimize_matches_the_reference_passes(self):
+        """Same final gates, angle bits included, and the same sweep count
+        on 300 random circuits of widths 2 to 6, each as drawn and after
+        the device rewrite."""
+        rng = np.random.default_rng(1710)
+        fired = set()
+        for k in range(300):
+            drawn = peephole_circuit(rng, 2 + k % 5)
+            for circuit in (drawn, rewrite_to_device(drawn)):
+                out, report = optimize(circuit)
+                want, sweeps = reference_optimize(circuit, fired)
+                assert exact(out.gates) == exact(want)
+                assert report.sweeps == sweeps
+        assert fired == {rewrite.__name__ for rewrite in REFERENCE_PASSES}
+
+
 class TestTranspile:
     def test_n2_budget_on_linear3(self):
         circuit = build_full_circuit(SecretString.from_string("00"))
@@ -393,6 +612,33 @@ class TestTranspile:
 DEMO_COMPILES = [(text, "linear3") for text in ("00", "01", "10", "11")] + [
     (text, "quito") for text in ("00", "01", "10", "11", "000", "001", "010", "011", "100", "101", "110", "111")
 ]
+
+
+CHAIN_SECRETS = ("0110", "1011", "0001", "01101", "10010", "11100", "011010", "100111", "001011")
+
+# SHA-256 of the compiles below, recorded before the peephole passes
+# inlined their commutation tests; a compiler change that claims the
+# same output keeps it.
+COMPILE_DIGEST = "d7cd387333b0f780e1940d74bbd58aec3c32ba6c1675cba026429fb7e06c4b25"
+
+
+def test_compile_output_is_pinned_by_digest():
+    """The serialized final circuit and the report JSON of every demo
+    auto-map and of nine identity-mapped chains (n = 4..6) hash to the
+    recorded digest."""
+    compiles = [
+        transpile(build_full_circuit(SecretString.from_string(text)), CouplingGraph.named(device))
+        for text, device in DEMO_COMPILES
+    ]
+    for text in CHAIN_SECRETS:
+        circuit = build_full_circuit(SecretString.from_string(text))
+        identity = QubitMapping.identity(circuit.width)
+        compiles.append(transpile(circuit, CouplingGraph.linear(circuit.width), mapping=identity))
+    digest = hashlib.sha256()
+    for final, report in compiles:
+        digest.update(serialize(final).encode())
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == COMPILE_DIGEST
 
 
 class TestMappingSearch:
