@@ -132,7 +132,7 @@ def _cmd_transpile(parser, args) -> int:
         with open(args.infile) as handle:
             circuit = parse(handle.read())
     except OSError as exc:
-        parser.error(f"cannot read {args.infile}: {exc}")
+        parser.exit(2, f"transpile: cannot read --in: {exc}\n")
     except ValueError as exc:
         print(f"transpile: parse failure: {exc}", file=sys.stderr)
         return 2
@@ -142,11 +142,11 @@ def _cmd_transpile(parser, args) -> int:
         try:
             mapping = QubitMapping(tuple(int(p) for p in args.mapping.split(",")))
         except ValueError as exc:
-            parser.error(f"bad --mapping: {exc}")
+            parser.exit(2, f"transpile: bad --mapping {args.mapping!r}: {exc}\n")
     try:
         final, report = transpile(circuit, graph, mapping=mapping, opt=bool(args.opt))
-    except ValueError as exc:
-        parser.error(str(exc))
+    except ValueError as exc:  # too wide, a mapping that does not fit, the search limit, the sweep cap
+        parser.exit(2, f"transpile: {exc}\n")
     if args.out:
         try:
             with open(args.out, "w") as handle:

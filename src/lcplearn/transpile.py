@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .circuit import _KIND, _QUBITS, CX, RZ, SX, Circuit, Gate
+from .circuit import _KIND, CX, RZ, SX, Circuit, Gate
 
 DEVICE_GATES = frozenset({"cx", "rz", "sx", "x"})
 
@@ -142,13 +142,18 @@ class _RouteTable(dict):
     def __init__(self, graph: CouplingGraph):
         super().__init__()
         self.graph = graph
+        self.paths: dict[tuple[int, int], tuple[int, ...]] = {}  # pair -> its ladders' path
 
     def __missing__(self, pair: tuple[int, int]) -> tuple:
-        path = self.graph.shortest_path(*pair)
-        hops = [CX(a + 1, b + 1) for a, b in zip(path, path[1:])]
+        hops = [CX(a + 1, b + 1) for a, b in itertools.pairwise(self.path(pair))]
         ladder = tuple(hops + hops[-2::-1] + hops[1:] + hops[-2:0:-1])
         self[pair] = ladder, ladder[::-1]
         return self[pair]
+
+    def path(self, pair: tuple[int, int]) -> tuple[int, ...]:
+        if pair not in self.paths:
+            self.paths[pair] = tuple(self.graph.shortest_path(*pair))
+        return self.paths[pair]
 
 
 @dataclass(frozen=True)
@@ -435,18 +440,18 @@ def _route(circuit: Circuit, physical: tuple[int, ...], graph: CouplingGraph, ma
     return gates
 
 
-def _relabelled(gates: list[Gate]) -> tuple:
-    """The key of a routed candidate: `gates`' kinds, and their qubits
-    relabelled 0, 1, ... in order of first appearance.
-
-    Every candidate routes the same circuit, so its i-th single-qubit gate
-    is the circuit's i-th; only kinds and qubits differ.  Rewrite,
-    optimize, gate counts and depth compare qubits only for equality, so
-    two candidates with one key compile alike and score the same.
-    """
-    qubits = list(itertools.chain.from_iterable(map(_QUBITS, gates)))
-    label = {q: i for i, q in enumerate(dict.fromkeys(qubits))}
-    return tuple(map(_KIND, gates)), tuple(map(label.__getitem__, qubits))
+def _placement_key(items: list[tuple[int, ...]], physical: tuple[int, ...], routes: _RouteTable) -> bytes:
+    """Each item's vertices once placed (a 0-based qubit's own, a CX
+    pair's shortest path), relabelled 0, 1, ... by first appearance,
+    after the items' vertex counts: routing reads nothing else.  As
+    bytes the key leaves no short tuples in CPython's free lists; past 50
+    vertices AUTO_MAP_LIMIT admits only width 1, so every value fits."""
+    placed = [
+        (physical[i[0]],) if len(i) == 1 else routes.path((physical[i[0]], physical[i[1]])) for i in items
+    ]
+    vertices = list(itertools.chain.from_iterable(placed))
+    label = {v: n for n, v in enumerate(dict.fromkeys(vertices))}
+    return bytes(map(len, placed)) + bytes(map(label.__getitem__, vertices))
 
 
 def _score(final: Circuit) -> tuple[int, int]:
@@ -463,16 +468,14 @@ def transpile(
 
     The candidates are the given mapping alone or, with none given,
     every injective mapping (at most AUTO_MAP_LIMIT) in lexicographic
-    order.  A search keys each routed candidate (`_relabelled`) and
-    rewrites and optimizes only the first of each key.  The lowest final
-    CX count wins, then depth, then the lexicographically first, which is
-    always the first of its key, so its compile is the one returned.  A
-    lone candidate is neither keyed nor scored.
+    order.  A search keys each candidate before routing (`_placement_key`)
+    and routes, rewrites and optimizes only the first of each key.  The
+    lowest final CX count wins, then depth, then the lexicographically
+    first, which is always the first of its key, so its compile is the one
+    returned.  A lone candidate is neither keyed nor scored.
     """
     if circuit.width > graph.num_qubits:
-        raise ValueError(
-            f"circuit width {circuit.width} exceeds device size {graph.num_qubits}"
-        )
+        raise ValueError(f"circuit width {circuit.width} exceeds device size {graph.num_qubits}")
     if mapping is not None:
         if mapping.width != circuit.width:
             raise ValueError("mapping width does not match circuit width")
@@ -486,19 +489,16 @@ def transpile(
                 f"auto-mapping would compile {tries} mappings, over the limit of "
                 f"{AUTO_MAP_LIMIT}; pass an explicit mapping"
             )
-        candidates = itertools.permutations(range(graph.num_qubits), circuit.width)
+        items = list(dict.fromkeys(tuple(q - 1 for q in g.qubits) for g in circuit.gates))
+        firsts: dict[bytes, tuple[int, ...]] = {}  # key -> its first candidate
+        for physical in itertools.permutations(range(graph.num_qubits), circuit.width):
+            firsts.setdefault(_placement_key(items, physical, graph.routes), physical)
+        candidates = firsts.values()
 
-    keys: set[tuple] = set()
     mapped: dict = {}
     best = best_score = None
     for physical in candidates:
-        routed = _route(circuit, physical, graph, mapped)
-        if mapping is None:
-            key = _relabelled(routed)
-            if key in keys:
-                continue
-            keys.add(key)
-        routed = Circuit(graph.num_qubits, routed)
+        routed = Circuit(graph.num_qubits, _route(circuit, physical, graph, mapped))
         final = rewritten = rewrite_to_device(routed)
         stages = [("route", routed), ("rewrite", rewritten)]
         if opt:

@@ -285,9 +285,9 @@ def _routing_row() -> CheckResult:
 
 
 def _keyed_search_row() -> CheckResult:
-    """The auto-map search compiles one mapping per relabelled routed
-    circuit; compiling every mapping on its own must pick the same
-    mapping, final circuit and report."""
+    """The auto-map search compiles one mapping per placement key;
+    compiling every mapping on its own must pick the same mapping, final
+    circuit and report."""
     quito = CouplingGraph.quito()
     ok = True
     for text in ("01", "101"):

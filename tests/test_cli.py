@@ -256,6 +256,40 @@ class TestTranspile:
         assert captured.out == ""
         assert "mapping targets nonexistent physical qubits" in captured.err
 
+    REFUSALS = {
+        "sweep-cap": "needs more than MAX_SWEEPS = 50 sweeps",
+        "mapping-width": "mapping width does not match circuit width",
+        "mapping-off-device": "mapping targets nonexistent physical qubits",
+        "search-limit": "pass an explicit mapping",
+        "mapping-text": "bad --mapping '0,x,1'",
+        "mapping-repeat": "mapping must be injective",
+        "unreadable-in": "cannot read --in",
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_refusal_is_one_stderr_line(self, capsys, circuit_file, tmp_path, case):
+        """Every refusal after parsing prints one `transpile: ...` line to
+        stderr, nothing to stdout, and exits 2, with no usage line."""
+        line27 = tmp_path / "line27.json"
+        line27.write_text(json.dumps({"qubits": 27, "edges": [[i, i + 1] for i in range(26)]}))
+        on_quito = ["--in", str(circuit_file), "--target", "quito", "--mapping"]
+        argv = {
+            "sweep-cap": ["--in", str(self.cancellable_word(tmp_path, 120)), "--target", "linear3", "--mapping", "0,1,2"],
+            "mapping-width": on_quito + ["0,1"],
+            "mapping-off-device": on_quito + ["0,1,7"],
+            "search-limit": ["--in", str(circuit_file), "--target", str(line27)],
+            "mapping-text": on_quito + ["0,x,1"],
+            "mapping-repeat": on_quito + ["0,1,1"],
+            "unreadable-in": ["--in", str(tmp_path / "absent.qasm"), "--target", "quito"],
+        }[case]
+        with pytest.raises(SystemExit) as err:
+            main(["transpile", *argv])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("transpile: ") and captured.err.count("\n") == 1
+        assert self.REFUSALS[case] in captured.err
+
 
 class TestAsp:
     def test_zero_noise_default(self, capsys):

@@ -27,7 +27,7 @@ from lcplearn import (
     transpile,
 )
 from lcplearn.oracle import Query, f
-from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _route, check_legal
+from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _placement_key, _route, check_legal
 from lcplearn.verify import _recovers_secret
 
 # the package attribute `lcplearn.transpile` is the function, not the module
@@ -641,6 +641,27 @@ def test_compile_output_is_pinned_by_digest():
     assert digest.hexdigest() == COMPILE_DIGEST
 
 
+def reference_relabelled(gates):
+    """The search key before candidates were keyed by placement: the routed
+    gates' kinds, and their qubits relabelled 0, 1, ... in order of first
+    appearance."""
+    qubits = list(itertools.chain.from_iterable(g.qubits for g in gates))
+    label = {q: i for i, q in enumerate(dict.fromkeys(qubits))}
+    return tuple(g.kind for g in gates), tuple(map(label.__getitem__, qubits))
+
+
+KEYED_CASES = [
+    (build_full_circuit(SecretString.from_string("01")), QUITO),
+    (build_full_circuit(SecretString.from_string("101")), QUITO),
+    (build_full_circuit(SecretString.from_string("110")), RING6),
+    (random_circuit(np.random.default_rng(22), 3, 40), CouplingGraph.linear(5)),
+    (random_circuit(np.random.default_rng(26), 5, 40), QUITO),  # 35 gates, 5 CX pairs, 60 keys
+    # paths of lengths 2 and 3 cover the same five vertices as 3 and 2
+    (Circuit(4, [CX(1, 2), CX(3, 4)]), QUITO),
+]
+KEYED_IDS = ["quito-01", "quito-101", "ring6-110", "line5-random"]
+
+
 class TestMappingSearch:
     @pytest.mark.parametrize("text,device", DEMO_COMPILES)
     def test_demo_auto_map_is_pinned(self, text, device):
@@ -705,10 +726,11 @@ class TestMappingSearch:
 
     @pytest.mark.parametrize("mapping,calls", [(None, 13), (QubitMapping((0, 1, 2, 3)), 1)], ids=["auto", "explicit"])
     def test_each_distinct_routed_circuit_compiled_once(self, monkeypatch, mapping, calls):
-        """The auto-map of s=101 onto quito rewrites and optimizes each of
-        its 13 distinct relabelled routed circuits once, the winner's
-        included; an explicit mapping is compiled once."""
-        counts = {"rewrite_to_device": 0, "optimize": 0}
+        """The auto-map of s=101 onto quito routes, rewrites and optimizes
+        each of its 13 distinct relabelled routed circuits once, the
+        winner's included, out of 120 mappings; an explicit mapping is
+        compiled once."""
+        counts = {"_route": 0, "rewrite_to_device": 0, "optimize": 0}
         for name in counts:
             original = getattr(transpile_module, name)
 
@@ -718,7 +740,7 @@ class TestMappingSearch:
 
             monkeypatch.setattr(transpile_module, name, counting)
         transpile(build_full_circuit(SecretString.from_string("101")), QUITO, mapping=mapping)
-        assert counts == {"rewrite_to_device": calls, "optimize": calls}
+        assert counts == {"_route": calls, "rewrite_to_device": calls, "optimize": calls}
 
     def test_search_over_the_limit_refused_before_compiling(self, monkeypatch):
         def fail(*args):
@@ -729,12 +751,7 @@ class TestMappingSearch:
         with pytest.raises(ValueError, match="explicit mapping"):
             transpile(Circuit(4, [CX(1, 4)]), CouplingGraph.linear(27))
 
-    @pytest.mark.parametrize("circuit,graph", [
-        (build_full_circuit(SecretString.from_string("01")), QUITO),
-        (build_full_circuit(SecretString.from_string("101")), QUITO),
-        (build_full_circuit(SecretString.from_string("110")), RING6),
-        (random_circuit(np.random.default_rng(22), 3, 40), CouplingGraph.linear(5)),
-    ], ids=["quito-01", "quito-101", "ring6-110", "line5-random"])
+    @pytest.mark.parametrize("circuit,graph", KEYED_CASES[:4], ids=KEYED_IDS)
     @pytest.mark.parametrize("opt", [True, False])
     def test_keyed_search_equals_exhaustive_search(self, circuit, graph, opt):
         """Compiling one mapping per relabelled routed circuit picks the
@@ -751,9 +768,62 @@ class TestMappingSearch:
         assert serialize(final) == serialize(want_final)
         assert report.to_dict() == want_report.to_dict()
 
+    @pytest.mark.parametrize("circuit,graph", KEYED_CASES, ids=KEYED_IDS + ["quito-random5", "quito-two-pairs"])
+    def test_placement_key_groups_candidates_as_the_routed_key_does(self, monkeypatch, circuit, graph):
+        """Keyed before routing, the candidates fall into the groups that
+        keying each routed circuit (`reference_relabelled`) forms, and the
+        search routes exactly the first candidate of each group, in order."""
+        items = list(dict.fromkeys(tuple(q - 1 for q in g.qubits) for g in circuit.gates))
+        placed, routed = {}, {}
+        for physical in itertools.permutations(range(graph.num_qubits), circuit.width):
+            placed.setdefault(_placement_key(items, physical, graph.routes), []).append(physical)
+            routed.setdefault(reference_relabelled(_route(circuit, physical, graph, {})), []).append(physical)
+        assert sorted(placed.values()) == sorted(routed.values())
+        firsts = []
+        original = transpile_module._route
+
+        def recording(circuit, physical, graph, mapped):
+            firsts.append(physical)
+            return original(circuit, physical, graph, mapped)
+
+        monkeypatch.setattr(transpile_module, "_route", recording)
+        transpile(circuit, graph)
+        assert firsts == [group[0] for group in routed.values()]
+
+    def test_second_auto_map_on_a_graph_searches_no_path(self, monkeypatch):
+        """The key reads each pair's path from the graph's route table: the
+        first auto-map onto a fresh quito runs one breadth-first search per
+        ordered pair, and later ones on the same graph run none."""
+        quito = CouplingGraph.quito()
+        searched = []
+        original = CouplingGraph._bfs
+
+        def counting(self, root):
+            searched.append(root)
+            return original(self, root)
+
+        monkeypatch.setattr(CouplingGraph, "_bfs", counting)
+        circuit = build_full_circuit(SecretString.from_string("101"))
+        transpile(circuit, quito)
+        assert len(searched) == len(quito.routes.paths) == 5 * 4
+        searched.clear()
+        transpile(circuit, quito)
+        transpile(build_full_circuit(SecretString.from_string("110")), quito)
+        assert searched == []
+
     def test_search_within_the_limit_accepted(self):
         _, report = transpile(Circuit(4, [CX(1, 2), CX(3, 4)]), CouplingGraph.linear(6))
         assert report.legal and report.final_counts["cx"] == 2
+
+    def test_widest_searches_within_the_limit_fit_the_byte_key(self):
+        """A key's vertex counts and labels are bytes: a width-2 search on a
+        50-line (2450 mappings, paths of up to 50 vertices) and a width-1
+        search on a 2520-line both run; a 51-line is over the limit."""
+        _, report = transpile(Circuit(2, [CX(1, 2)]), CouplingGraph.linear(50))
+        assert report.mapping == (0, 1) and report.final_counts["cx"] == 1
+        assert math.perm(51, 2) > AUTO_MAP_LIMIT
+        _, report = transpile(Circuit(1, [X(1)]), CouplingGraph.linear(AUTO_MAP_LIMIT))
+        assert report.mapping == (0,)
 
     def test_limit_counts_mappings_not_width(self):
         assert math.perm(7, 5) == AUTO_MAP_LIMIT
