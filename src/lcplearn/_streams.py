@@ -4,15 +4,15 @@ of shots at once.
 Item j of `iter_uniform(base, shots, columns)` is the column whose entry
 i is, bit for bit,
 ``np.random.default_rng((*base, shots[i])).random(columns[j] + 1)[-1]``;
-`fill_uniform` writes the same columns into a matrix.  numpy's
-SeedSequence (O'Neill's seed_seq_fe with a pool of four 32-bit words)
-turns the entropy words into a PCG64 seed and increment, PCG64 steps a
-128-bit LCG and emits XSL-RR outputs, and Generator.random keeps the top
-53 bits of each.  The same wrapping uint32/uint64 arithmetic runs here
-on arrays whose lanes are the shots, so a block costs a fixed number of
-numpy calls per column instead of one generator per shot.  (M. E.
-O'Neill, PCG: A Family of Simple Fast Space-Efficient Statistically Good
-Algorithms for Random Number Generation, HMC-CS-2014-0905.)
+it is the module's one entry point.  numpy's SeedSequence (O'Neill's
+seed_seq_fe with a pool of four 32-bit words) turns the entropy words
+into a PCG64 seed and increment, PCG64 steps a 128-bit LCG and emits
+XSL-RR outputs, and Generator.random keeps the top 53 bits of each.  The
+same wrapping uint32/uint64 arithmetic runs here on arrays whose lanes
+are the shots, so a block costs a fixed number of numpy calls per
+column instead of one generator per shot.  (M. E. O'Neill, PCG: A Family
+of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation, HMC-CS-2014-0905.)
 
 Only the requested columns are computed.  The LCG state m steps ahead is
 A^m s + C_m inc mod 2^128 with C_m = 1 + A + ... + A^(m-1), and both
@@ -173,16 +173,6 @@ def _output(hi, lo, scratch: list) -> np.ndarray:
     return x * 2.0**-53
 
 
-def _check_columns(columns) -> list:
-    columns = [int(c) for c in columns]
-    if columns and columns[0] < 0:
-        raise ValueError(f"stream columns must be non-negative, got {columns[0]}")
-    for a, b in zip(columns, columns[1:]):
-        if b <= a:
-            raise ValueError(f"stream columns must be strictly increasing, got {a} then {b}")
-    return columns
-
-
 def iter_uniform(base: tuple, shots, columns):
     """An iterator over the requested columns of the streams of `shots`:
     item j is the (len(shots),) float64 array of double number columns[j]
@@ -195,7 +185,12 @@ def iter_uniform(base: tuple, shots, columns):
     jumped across, so a gap-free set from 0 is the sequential stream.
     """
     shots = np.asarray(shots)
-    columns = _check_columns(columns)
+    columns = [int(c) for c in columns]
+    if columns and columns[0] < 0:
+        raise ValueError(f"stream columns must be non-negative, got {columns[0]}")
+    for a, b in zip(columns, columns[1:]):
+        if b <= a:
+            raise ValueError(f"stream columns must be strictly increasing, got {a} then {b}")
     if shots.ndim != 1 or (shots.size and shots.dtype.kind not in "iu"):
         raise ValueError("shot indices must be a 1-D integer array")
     if shots.size and (shots.min() < 0 or shots.max() >= MAX_SHOTS):
@@ -238,16 +233,3 @@ def _seed(entropy: list) -> tuple:
     _add128(w0, w1, inc_hi, inc_lo, np.empty(w1.shape, dtype=bool))
     return w0, w1, inc_hi, inc_lo
 
-
-def fill_uniform(out: np.ndarray, base: tuple, shots, columns) -> np.ndarray:
-    """Fill `out[i, j]` with double number columns[j] (from 0) of
-    default_rng((*base, shots[i])); return `out`.  The arguments are those
-    of `iter_uniform`, and `out` has shape (len(shots), len(columns)).
-    """
-    columns = _check_columns(columns)
-    draws = iter_uniform(base, shots, columns)
-    if out.shape != (len(shots), len(columns)):
-        raise ValueError(f"out has shape {out.shape}, expected {(len(shots), len(columns))}")
-    for j, column in enumerate(draws):
-        out[:, j] = column
-    return out

@@ -1,12 +1,14 @@
 """Command-line surface.
 
 JSON reports go to stdout; a short human summary goes to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+codes: 0 success, 1 verification failure, 2 usage error.  A usage error
+found after parsing is one `<command>: <message>` line on stderr.
 """
 
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from .circuit import parse, serialize
 from .classical import MAX_EXHAUSTIVE_N, learn_classical
@@ -27,9 +29,15 @@ def _report(command: str, params: dict, payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _secret(parser: argparse.ArgumentParser, text: str) -> SecretString:
+def _refuse(command: str, message: str) -> NoReturn:
+    """Refuse a request: one line on stderr, nothing on stdout, exit 2."""
+    print(f"{command}: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _secret(command: str, text: str) -> SecretString:
     if not text or any(c not in "01" for c in text):
-        parser.error(f"--secret must be a nonempty binary string, got {text!r}")
+        _refuse(command, f"--secret must be a nonempty binary string, got {text!r}")
     return SecretString.from_string(text)
 
 
@@ -38,8 +46,8 @@ def _amplitudes(vec) -> list:
     return [[float(a.real), float(a.imag)] for a in vec]
 
 
-def _cmd_learn(parser, args) -> int:
-    s = _secret(parser, args.secret)
+def _cmd_learn(args) -> int:
+    s = _secret("learn", args.secret)
     if args.mode == "classical":
         ledger = QueryLedger()
         recovered, queries = learn_classical(make_teacher(s, ledger), s.n)
@@ -53,7 +61,7 @@ def _cmd_learn(parser, args) -> int:
         try:
             result = run_quantum_learn(s, trace=args.trace)
         except ValueError as exc:  # only the dense traced path has a width limit
-            parser.error(f"--trace: {exc}")
+            _refuse("learn", f"--trace: {exc}")
         payload = {
             "recovered": "".join(map(str, result.recovered)),
             "classical_queries": result.classical_queries,
@@ -89,14 +97,12 @@ def _cmd_learn(parser, args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_synth(parser, args) -> int:
-    s = _secret(parser, args.secret)
-    if s.n < 2:
-        parser.error("synth needs a secret of at least 2 bits")
+def _cmd_synth(args) -> int:
+    s = _secret("synth", args.secret)
     try:
-        circuit, oracle_block = _build(s, args.t)
-    except ValueError as exc:
-        parser.error(str(exc))
+        circuit, oracle_block = _build(s)
+    except ValueError as exc:  # under 2 bits, or over the synthesis width limit
+        _refuse("synth", str(exc))
     try:
         with open(args.out, "w") as handle:
             handle.write(serialize(circuit))
@@ -105,7 +111,7 @@ def _cmd_synth(parser, args) -> int:
         return 1
     _report(
         "synth",
-        {"secret": str(s), "t": args.t},
+        {"secret": str(s)},
         {
             "out": args.out,
             "width": circuit.width,
@@ -118,35 +124,34 @@ def _cmd_synth(parser, args) -> int:
     return 0
 
 
-def _load_graph(parser, name: str) -> CouplingGraph:
+def _load_graph(name: str) -> CouplingGraph:
     try:
         if name.endswith(".json"):
             return CouplingGraph.from_json(name)
         return CouplingGraph.named(name)
     except (OSError, ValueError) as exc:
-        parser.exit(2, f"transpile: bad --target {name!r}: {exc}\n")
+        _refuse("transpile", f"bad --target {name!r}: {exc}")
 
 
-def _cmd_transpile(parser, args) -> int:
+def _cmd_transpile(args) -> int:
     try:
         with open(args.infile) as handle:
             circuit = parse(handle.read())
     except OSError as exc:
-        parser.exit(2, f"transpile: cannot read --in: {exc}\n")
+        _refuse("transpile", f"cannot read --in: {exc}")
     except ValueError as exc:
-        print(f"transpile: parse failure: {exc}", file=sys.stderr)
-        return 2
-    graph = _load_graph(parser, args.target)
+        _refuse("transpile", f"parse failure: {exc}")
+    graph = _load_graph(args.target)
     mapping = None
     if args.mapping:
         try:
             mapping = QubitMapping(tuple(int(p) for p in args.mapping.split(",")))
         except ValueError as exc:
-            parser.exit(2, f"transpile: bad --mapping {args.mapping!r}: {exc}\n")
+            _refuse("transpile", f"bad --mapping {args.mapping!r}: {exc}")
     try:
-        final, report = transpile(circuit, graph, mapping=mapping, opt=bool(args.opt))
+        final, report = transpile(circuit, graph, mapping=mapping)
     except ValueError as exc:  # too wide, a mapping that does not fit, the search limit, the sweep cap
-        parser.exit(2, f"transpile: {exc}\n")
+        _refuse("transpile", str(exc))
     if args.out:
         try:
             with open(args.out, "w") as handle:
@@ -156,7 +161,7 @@ def _cmd_transpile(parser, args) -> int:
             return 1
     _report(
         "transpile",
-        {"in": args.infile, "target": args.target, "opt": args.opt},
+        {"in": args.infile, "target": args.target},
         {"out": args.out, "report": report.to_dict()},
     )
     counts = report.final_counts
@@ -169,15 +174,14 @@ def _cmd_transpile(parser, args) -> int:
     return 0 if report.legal else 1
 
 
-def _cmd_asp(parser, args) -> int:
-    s = _secret(parser, args.secret)
+def _cmd_asp(args) -> int:
+    s = _secret("asp", args.secret)
     if s.n < 2:
-        print(
-            "asp: needs a secret of at least 2 bits; a 1-bit secret is learned by "
+        _refuse(
+            "asp",
+            "needs a secret of at least 2 bits; a 1-bit secret is learned by "
             "one classical query and has no quantum round to replay",
-            file=sys.stderr,
         )
-        return 2
     if args.noise == "default":
         profile = None  # zero noise
     elif args.noise == "quito":
@@ -186,12 +190,11 @@ def _cmd_asp(parser, args) -> int:
         try:
             profile = NoiseProfile.from_json(args.noise)
         except (OSError, ValueError) as exc:
-            parser.exit(2, f"asp: bad --noise {args.noise!r}: {exc}\n")
+            _refuse("asp", f"bad --noise {args.noise!r}: {exc}")
     try:
         report = estimate_asp(s, profile, trials=args.trials, shots=args.shots, seed=args.seed)
     except ValueError as exc:  # --trials, --shots or --seed out of range
-        print(f"asp: {exc}", file=sys.stderr)
-        return 2
+        _refuse("asp", str(exc))
     _report(
         "asp",
         {"secret": str(s), "noise": args.noise, "trials": args.trials, "shots": args.shots, "seed": args.seed},
@@ -201,11 +204,11 @@ def _cmd_asp(parser, args) -> int:
     return 0
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
     sized = [name for name in ("classical", "quantum") if name in names]
     if sized and args.max_n is not None and not 1 <= args.max_n <= MAX_EXHAUSTIVE_N:
-        parser.error(f"--max-n for the {'/'.join(sized)} suite must be in 1..{MAX_EXHAUSTIVE_N}, got {args.max_n}")
+        _refuse("verify", f"--max-n for the {'/'.join(sized)} suite must be in 1..{MAX_EXHAUSTIVE_N}, got {args.max_n}")
     rows = run_suites(names, max_n=args.max_n)
     for row in rows:
         print(row.line(), file=sys.stderr)
@@ -233,13 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="emit the full learner circuit as text")
     p.add_argument("--secret", required=True)
-    p.add_argument("--t", type=int, default=None, help="override the q register width")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("transpile", help="fit a circuit file onto a coupling graph")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--target", required=True, help="linear3, quito, or a JSON graph file")
-    p.add_argument("--opt", type=int, choices=(0, 1), default=1)
     p.add_argument("--mapping", default=None, help="comma-separated physical qubits, else auto")
     p.add_argument("--out", default=None)
 
@@ -258,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "learn": _cmd_learn,
         "synth": _cmd_synth,
@@ -267,7 +267,7 @@ def main(argv=None) -> int:
         "asp": _cmd_asp,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](parser, args)
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

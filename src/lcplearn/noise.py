@@ -23,7 +23,8 @@ the fire draws of gates with a nonzero error rate, the readout draws of
 qubits with a nonzero flip rate, and, in the rows where an error fired,
 the Pauli draws of the gates that fired.  The columns are consumed as
 they are drawn: a fire draw becomes a row of booleans, a readout draw a
-bit of a flip mask, and only the measurement draw is kept as floats.
+bit of a flip mask, and only the measurement draw and the few Pauli
+draws of the fired rows are kept as floats.
 At zero noise that is one value a shot, and an 8192-shot trial of a
 quito demo circuit takes 1.4–2.2 ms (2-core Xeon VM, median over the
 12 demo secrets); under the quito profile it takes 9.8–11.8 ms.
@@ -91,6 +92,9 @@ _BLOCK_SHOTS = 8192
 # under the quito profile and up to about 1500 with its CX rates scaled
 # by 5 and single-qubit rates by 50.
 _BATCH_AMPLITUDES = 1 << 16
+
+# The device every ASP is replayed on: the demo circuits are compiled onto it.
+_QUITO = CouplingGraph.quito()
 
 
 def _number(field: str, value) -> float:
@@ -393,9 +397,7 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
             hit = fires[:, fired].T
             struck = hit.any(axis=0)
             sites = live[struck]
-            pick_u = _streams.fill_uniform(
-                np.empty((len(fired), len(sites))), base, start + fired, n_sites + sites
-            )
+            pick_u = np.column_stack(list(_streams.iter_uniform(base, start + fired, n_sites + sites)))
             choice = (pick_u * pauli_count[sites]).astype(np.uint8) + 1
             faults = np.zeros((len(fired), n_sites), dtype=np.uint8)
             faults[:, sites] = np.where(hit[:, struck], choice, 0)
@@ -435,17 +437,16 @@ class AspReport:
 
 
 @lru_cache(maxsize=64)
-def _transpiled(secret: str, graph: CouplingGraph):
-    circuit = build_full_circuit(SecretString.from_string(secret))
-    return transpile(circuit, graph)
+def _transpiled(secret: str):
+    """The learner circuit of `secret` compiled onto quito."""
+    return transpile(build_full_circuit(SecretString.from_string(secret)), _QUITO)
 
 
-def _asp_task(s: SecretString, profile: NoiseProfile | None, graph: CouplingGraph | None):
+def _asp_task(s: SecretString, profile: NoiseProfile | None):
     """The transpiled circuit, the profile (zero noise when None) and a mask
     over readout indices marking the successes `estimate_asp` counts."""
-    graph = CouplingGraph.quito() if graph is None else graph
-    profile = NoiseProfile.zero(graph.num_qubits) if profile is None else profile
-    circuit, report = _transpiled(str(s), graph)
+    profile = NoiseProfile.zero(_QUITO.num_qubits) if profile is None else profile
+    circuit, report = _transpiled(str(s))
     width = circuit.width
     readouts = np.arange(1 << width)
     success = np.ones(1 << width, dtype=bool)
@@ -460,9 +461,9 @@ def estimate_asp(
     trials: int = 5,
     shots: int = 8192,
     seed: int = 0,
-    graph: CouplingGraph | None = None,
 ) -> AspReport:
-    """Monte-Carlo algorithm success probability on the transpiled circuit.
+    """Monte-Carlo algorithm success probability on the circuit transpiled
+    onto quito.
 
     Success means the measured x bits identify the secret: an exact match
     for even n; for odd n a match on the first n-1 bits, since the final
@@ -470,7 +471,7 @@ def estimate_asp(
     """
     if trials < 1 or shots < 1:
         raise ValueError("trials and shots must be >= 1")
-    circuit, profile, success = _asp_task(s, profile, graph)
+    circuit, profile, success = _asp_task(s, profile)
     rates = []
     for trial in range(trials):
         hist = run_noisy(circuit, profile, shots, seed=(seed, trial))
@@ -528,12 +529,8 @@ def exact_distribution(circuit: Circuit, profile: NoiseProfile) -> np.ndarray:
     return probs
 
 
-def exact_asp(
-    s: SecretString,
-    profile: NoiseProfile | None = None,
-    graph: CouplingGraph | None = None,
-) -> float:
+def exact_asp(s: SecretString, profile: NoiseProfile | None = None) -> float:
     """The success probability `estimate_asp` samples, computed exactly
     (to float rounding, a few 1e-16)."""
-    circuit, profile, success = _asp_task(s, profile, graph)
+    circuit, profile, success = _asp_task(s, profile)
     return float(exact_distribution(circuit, profile)[success].sum())

@@ -44,9 +44,6 @@ class Statevector:
         self.num_qubits = num_qubits
         self.amps = amps
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.num_qubits, self.amps.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
@@ -98,11 +95,9 @@ def init_basis(num_qubits: int, index: int) -> Statevector:
     return Statevector(num_qubits, amps)
 
 
-def simulate(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
-    """Run a circuit on |0...0> (or on a copy of `initial`)."""
-    state = init_basis(circuit.width, 0) if initial is None else initial.copy()
-    if state.num_qubits != circuit.width:
-        raise ValueError("initial state width does not match circuit width")
+def simulate(circuit: Circuit) -> Statevector:
+    """Run a circuit on |0...0>."""
+    state = init_basis(circuit.width, 0)
     for gate in circuit.gates:
         state.apply_gate(gate)
     return state

@@ -124,7 +124,7 @@ def synth_R() -> Circuit:
     return Circuit(2, [H(1), CX(1, 2), Z(1), X(2), H(1)])
 
 
-def build_full_circuit(s: SecretString, t: int | None = None) -> Circuit:
+def build_full_circuit(s: SecretString) -> Circuit:
     """The complete pre-transpilation learner circuit for secret s.
 
     Per round: the H pair, the q-register X mask,
@@ -132,18 +132,15 @@ def build_full_circuit(s: SecretString, t: int | None = None) -> Circuit:
     last secret bit still needs the one-query classical fix-up after
     measuring; the circuit covers the quantum part only.
     """
-    return _build(s, t)[0]
+    return _build(s)[0]
 
 
-def _build(s: SecretString, t: int | None) -> tuple[Circuit, Circuit]:
+def _build(s: SecretString) -> tuple[Circuit, Circuit]:
     """`build_full_circuit`'s circuit and the synthesized oracle block it repeats."""
     if s.n < 2:
         raise ValueError("circuit construction needs n >= 2")
     layout = AlgorithmLayout.for_n(s.n)
-    t = layout.t if t is None else t
-    if t < layout.t:
-        raise ValueError(f"q register needs at least {layout.t} qubits for n={s.n}")
-    n = s.n
+    n, t = s.n, layout.t
     width = n + t
     _check_synth_width(width)
     oracle = synth_diagonal(oracle_diagonal(s, t))

@@ -5,8 +5,9 @@ non-adjacent CNOT as a CNOT ladder along a shortest path (4(d-1) CNOTs
 at distance d), rewrite into the device gate set {CX, RZ, SX, X}, then
 peephole-optimize to a fixed point.  Every pass preserves the unitary
 up to global phase and never increases the gate count.  `transpile`
-runs the pipeline over a list of candidate mappings, the given mapping
-alone or every injective one, and returns the best candidate's compile.
+runs the whole pipeline on each of a list of candidate mappings, the
+given mapping alone or every injective one, and returns the best
+candidate's compile.
 
 Physical qubits are 0-based (Q0, Q1, ...); a physical circuit of width P
 uses internal qubit p+1 for Qp, so the serialized q[p] is exactly Qp.
@@ -359,7 +360,7 @@ class PassReport:
     mapping: tuple[int, ...] | None = None
     legal_gate_set: bool | None = None
     legal_coupling: bool | None = None
-    sweeps: int | None = None
+    sweeps: int = 0
 
     @property
     def final_counts(self) -> dict:
@@ -462,7 +463,6 @@ def transpile(
     circuit: Circuit,
     graph: CouplingGraph,
     mapping: QubitMapping | None = None,
-    opt: bool = True,
 ) -> tuple[Circuit, PassReport]:
     """Map, route, rewrite and optimize a circuit onto the device.
 
@@ -499,23 +499,20 @@ def transpile(
     best = best_score = None
     for physical in candidates:
         routed = Circuit(graph.num_qubits, _route(circuit, physical, graph, mapped))
-        final = rewritten = rewrite_to_device(routed)
-        stages = [("route", routed), ("rewrite", rewritten)]
-        if opt:
-            final, opt_report = optimize(rewritten)
-            stages.append(("optimize", final))
+        rewritten = rewrite_to_device(routed)
+        final, opt_report = optimize(rewritten)
         if best is not None:  # scored only once it has a rival
-            best_score = best_score or _score(best[1][-1][1])
+            best_score = best_score or _score(best[2][-1])
             score = _score(final)
             if score >= best_score:
                 continue
             best_score = score
-        best = physical, stages, opt_report.sweeps if opt else None
+        best = physical, opt_report.sweeps, (routed, rewritten, final)
 
-    physical, stages, sweeps = best
-    final = stages[-1][1]
+    physical, sweeps, stages = best
+    final = stages[-1]
     # placing relabels qubits injectively, which keeps gate counts and depth
     given = StageRecord.of("input", circuit)
     records = [given, StageRecord("map", dict(given.counts), given.depth)]
-    records += [StageRecord.of(name, c) for name, c in stages]
+    records += [StageRecord.of(name, c) for name, c in zip(("route", "rewrite", "optimize"), stages)]
     return final, PassReport(records, physical, *check_legal(final, graph), sweeps)

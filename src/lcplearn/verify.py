@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._streams import fill_uniform
+from ._streams import iter_uniform
 from .circuit import CX, Circuit, Gate, serialize
 from .classical import min_external_path_length, verify_optimality
 from .noise import NoiseProfile, estimate_asp, exact_asp
@@ -375,10 +375,9 @@ def suite_noise() -> list[CheckResult]:
 
     # the replay's vectorized streams against the installed numpy, whose
     # SeedSequence, PCG64 and Generator.random define them
-    streams = fill_uniform(np.empty((64, 61)), (99, 0), np.arange(64), range(61))
-    same = all(
-        np.array_equal(row, np.random.default_rng((99, 0, k)).random(61))
-        for k, row in enumerate(streams)
+    same = np.array_equal(
+        np.column_stack(list(iter_uniform((99, 0), np.arange(64), range(61)))),
+        [np.random.default_rng((99, 0, k)).random(61) for k in range(64)],
     )
     rows.append(
         CheckResult(
@@ -390,9 +389,11 @@ def suite_noise() -> list[CheckResult]:
     shots = np.array([2**32 - 1, 0, 2**31, 7, 51_000])
     column_sets = ([0], [5000], [0, 2, 3], [0, 1, 2, 70, 71], [3, 5, 6, 7, 140, 141, 300])
     same = all(
-        np.array_equal(row, np.random.default_rng((99, 1, int(k))).random(columns[-1] + 1)[columns])
+        np.array_equal(
+            np.column_stack(list(iter_uniform((99, 1), shots, columns))),
+            [np.random.default_rng((99, 1, int(k))).random(columns[-1] + 1)[columns] for k in shots],
+        )
         for columns in column_sets
-        for k, row in zip(shots, fill_uniform(np.empty((len(shots), len(columns))), (99, 1), shots, columns))
     )
     rows.append(
         CheckResult(

@@ -1,4 +1,7 @@
+import inspect
+
 import lcplearn
+from lcplearn import _streams
 
 REMOVED = ("route_cnot", "decompose_H", "equal_up_to_global_phase")
 
@@ -21,3 +24,21 @@ def test_second_entry_points_are_gone():
         assert name not in lcplearn.__all__ and not hasattr(lcplearn, name)
     assert not hasattr(lcplearn.WalshSpectrum, "reconstruct")
     assert not hasattr(lcplearn.CouplingGraph, "neighbors")
+
+
+def test_options_no_workload_sets_are_gone():
+    """One configuration per job: the q register comes from the layout,
+    every compile is optimized, every ASP replays on quito, a simulation
+    starts from |0...0>, and the streams have one entry point."""
+    removed = {
+        lcplearn.transpile: "opt",
+        lcplearn.build_full_circuit: "t",
+        lcplearn.estimate_asp: "graph",
+        lcplearn.exact_asp: "graph",
+        lcplearn.simulate: "initial",
+    }
+    for function, name in removed.items():
+        assert name not in inspect.signature(function).parameters, (function.__name__, name)
+    assert list(inspect.signature(lcplearn.transpile).parameters) == ["circuit", "graph", "mapping"]
+    assert not hasattr(_streams, "fill_uniform")
+    assert not hasattr(lcplearn.Statevector, "copy")

@@ -13,6 +13,19 @@ def run_cli(capsys, *argv):
     return code, doc, captured.err
 
 
+def refused(capsys, *argv):
+    """Run a request the CLI must refuse: exit 2, nothing on stdout and one
+    `<command>: ...` line on stderr, with no usage line.  Returns that line."""
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err.startswith(f"{argv[0]}: ")
+    return captured.err.rstrip("\n")
+
+
 class TestLearn:
     def test_classical_query_count(self, capsys):
         code, doc, _ = run_cli(capsys, "learn", "--secret", "110", "--mode", "classical")
@@ -35,17 +48,14 @@ class TestLearn:
         assert doc["trace"][0]["q_cur"] == 1
 
     def test_invalid_secret_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["learn", "--secret", "10a"])
-        assert err.value.code == 2
+        for text in ("10a", "01a", ""):
+            line = refused(capsys, "learn", "--secret", text)
+            assert line == f"learn: --secret must be a nonempty binary string, got {text!r}"
 
     def test_trace_over_the_dense_limit_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["learn", "--secret", "01" * 15, "--trace"])
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "dense simulation limit" in captured.err and "Traceback" not in captured.err
+        for bits in (25, 30):
+            line = refused(capsys, "learn", "--secret", "1" * bits, "--trace")
+            assert line.startswith("learn: --trace: ") and "dense simulation limit" in line
 
     def test_untraced_learn_has_no_dense_limit(self, capsys):
         code, doc, _ = run_cli(capsys, "learn", "--secret", "01" * 15)
@@ -86,14 +96,27 @@ class TestSynth:
         assert len(calls) == 1
 
     def test_single_bit_rejected(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["synth", "--secret", "1", "--out", str(tmp_path / "x.qasm")])
-        assert err.value.code == 2
+        line = refused(capsys, "synth", "--secret", "1", "--out", str(tmp_path / "x.qasm"))
+        assert "n >= 2" in line
+        assert not (tmp_path / "x.qasm").exists()
 
-    def test_parameters_name_only_the_secret_and_t(self, capsys, tmp_path):
-        code, doc, _ = run_cli(capsys, "synth", "--secret", "101", "--t", "4", "--out", str(tmp_path / "c.qasm"))
+    def test_over_the_synthesis_width_limit_is_usage_error(self, capsys, tmp_path):
+        """13 bits take a 4-qubit q register: 17 qubits, over the 12-qubit limit."""
+        line = refused(capsys, "synth", "--secret", "0" * 13, "--out", str(tmp_path / "x.qasm"))
+        assert line == "synth: diagonal synthesis limited to 12 qubits"
+        assert not (tmp_path / "x.qasm").exists()
+
+    def test_parameters_name_only_the_secret(self, capsys, tmp_path):
+        code, doc, _ = run_cli(capsys, "synth", "--secret", "101", "--out", str(tmp_path / "c.qasm"))
         assert code == 0
-        assert doc["parameters"] == {"secret": "101", "t": 4}
+        assert doc["parameters"] == {"secret": "101"}
+
+    def test_q_register_width_is_not_an_option(self, capsys, tmp_path):
+        """The q register is always the layout's t qubits; no flag widens it."""
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--secret", "101", "--t", "4", "--out", str(tmp_path / "c.qasm")])
+        assert err.value.code == 2
+        assert not (tmp_path / "c.qasm").exists()
 
     def test_no_synthesis_option_besides_t(self, capsys, tmp_path):
         """The Gray walk is the only synthesis; no flag selects another."""
@@ -127,16 +150,19 @@ class TestTranspile:
         assert report["stages"][-1]["counts"]["cx"] <= 11
         parse(out.read_text())  # output is valid circuit text
 
-    def test_opt_zero_never_smaller(self, capsys, circuit_file, tmp_path):
-        _, doc0, _ = run_cli(
-            capsys, "transpile", "--in", str(circuit_file), "--target", "linear3", "--opt", "0"
-        )
-        _, doc1, _ = run_cli(
-            capsys, "transpile", "--in", str(circuit_file), "--target", "linear3", "--opt", "1"
-        )
-        cx0 = doc0["report"]["stages"][-1]["counts"]["cx"]
-        cx1 = doc1["report"]["stages"][-1]["counts"]["cx"]
-        assert cx1 <= cx0
+    def test_parameters_name_only_the_input_and_target(self, capsys, circuit_file):
+        code, doc, _ = run_cli(capsys, "transpile", "--in", str(circuit_file), "--target", "linear3")
+        assert code == 0
+        assert doc["parameters"] == {"in": str(circuit_file), "target": "linear3"}
+        assert [s["name"] for s in doc["report"]["stages"]][-1] == "optimize"
+
+    def test_optimization_is_not_an_option(self, capsys, circuit_file, tmp_path):
+        """Every compile is optimized; no flag skips the peephole pass."""
+        out = tmp_path / "out.qasm"
+        with pytest.raises(SystemExit) as err:
+            main(["transpile", "--in", str(circuit_file), "--target", "quito", "--opt", "0", "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
 
     def test_json_target_file(self, capsys, circuit_file, tmp_path):
         graph = tmp_path / "graph.json"
@@ -145,9 +171,8 @@ class TestTranspile:
         assert code == 0 and doc["report"]["legal_coupling"]
 
     def test_bad_target_is_usage_error(self, capsys, circuit_file):
-        with pytest.raises(SystemExit) as err:
-            main(["transpile", "--in", str(circuit_file), "--target", "nope"])
-        assert err.value.code == 2
+        line = refused(capsys, "transpile", "--in", str(circuit_file), "--target", "nope")
+        assert line.startswith("transpile: bad --target 'nope'")
 
     @pytest.mark.parametrize(
         "document",
@@ -188,21 +213,13 @@ class TestTranspile:
         graph = tmp_path / "line27.json"
         graph.write_text(json.dumps({"qubits": 27, "edges": [[i, i + 1] for i in range(26)]}))
         capsys.readouterr()
-        with pytest.raises(SystemExit) as err:
-            main(["transpile", "--in", str(circuit), "--target", str(graph)])
-        captured = capsys.readouterr()
-        assert err.value.code == 2
-        assert captured.out == ""
-        assert "explicit mapping" in captured.err
+        assert "explicit mapping" in refused(capsys, "transpile", "--in", str(circuit), "--target", str(graph))
 
     def test_malformed_circuit_file(self, capsys, tmp_path):
         broken = tmp_path / "broken.qasm"
         broken.write_text("OPENQASM 2.0;\nnot a circuit\n")
-        code = main(["transpile", "--in", str(broken), "--target", "linear3"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("transpile: parse failure") and captured.err.count("\n") == 1
+        line = refused(capsys, "transpile", "--in", str(broken), "--target", "linear3")
+        assert line.startswith("transpile: parse failure")
 
     @staticmethod
     def cancellable_word(tmp_path, depth):
@@ -249,12 +266,8 @@ class TestTranspile:
         assert doc["report"]["mapping"] == [0, 1, 3]
 
     def test_negative_mapping_is_usage_error(self, capsys, circuit_file):
-        with pytest.raises(SystemExit) as err:
-            main(["transpile", "--in", str(circuit_file), "--target", "quito", "--mapping=-1,0,1"])
-        captured = capsys.readouterr()
-        assert err.value.code == 2
-        assert captured.out == ""
-        assert "mapping targets nonexistent physical qubits" in captured.err
+        line = refused(capsys, "transpile", "--in", str(circuit_file), "--target", "quito", "--mapping=-1,0,1")
+        assert line == "transpile: mapping targets nonexistent physical qubits"
 
     REFUSALS = {
         "sweep-cap": "needs more than MAX_SWEEPS = 50 sweeps",
@@ -331,36 +344,23 @@ class TestAsp:
         assert 0.0 <= doc["asp"]["mean"] <= 1.0
 
     def test_one_bit_secret_is_refused_in_one_line(self, capsys):
-        code = main(["asp", "--secret", "0"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
+        assert refused(capsys, "asp", "--secret", "0") == (
             "asp: needs a secret of at least 2 bits; a 1-bit secret is learned by "
             "one classical query and has no quantum round to replay"
-        ]
+        )
 
     def test_more_than_two_to_the_32_shots_refused_in_one_line(self, capsys):
-        code = main(["asp", "--secret", "01", "--shots", "4294967297"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("asp: shots must be <= 2**32")
-        assert captured.err.count("\n") == 1
+        line = refused(capsys, "asp", "--secret", "01", "--shots", "4294967297")
+        assert line.startswith("asp: shots must be <= 2**32")
 
     def test_negative_seed_is_a_usage_error(self, capsys):
-        code = main(["asp", "--secret", "01", "--seed", "-1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["asp: expected non-negative integer"]
+        assert refused(capsys, "asp", "--secret", "01", "--seed", "-1") == "asp: expected non-negative integer"
 
     def test_malformed_noise_json(self, capsys, tmp_path):
         noise = tmp_path / "bad.json"
         noise.write_text("{\"cx_error\": {}}")
-        with pytest.raises(SystemExit) as err:
-            main(["asp", "--secret", "11", "--noise", str(noise)])
-        assert err.value.code == 2
+        line = refused(capsys, "asp", "--secret", "11", "--noise", str(noise))
+        assert line.startswith("asp: bad --noise")
 
     @pytest.mark.parametrize(
         "document",
@@ -402,17 +402,16 @@ class TestVerify:
         assert "PASS" in err
 
     def test_classical_max_n_out_of_range_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "--suite", "classical", "--max-n", "13"])
-        assert err.value.code == 2
-        assert "1..12" in capsys.readouterr().err
+        assert "1..12" in refused(capsys, "verify", "--suite", "classical", "--max-n", "13")
 
     @pytest.mark.parametrize("max_n", ["0", "13"])
     def test_quantum_max_n_out_of_range_is_usage_error(self, capsys, max_n):
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "--suite", "quantum", "--max-n", max_n])
-        assert err.value.code == 2
-        assert "quantum suite must be in 1..12" in capsys.readouterr().err
+        line = refused(capsys, "verify", "--suite", "quantum", "--max-n", max_n)
+        assert "quantum suite must be in 1..12" in line
+
+    def test_all_suites_max_n_out_of_range_is_usage_error(self, capsys):
+        line = refused(capsys, "verify", "--max-n", "13")
+        assert line == "verify: --max-n for the classical/quantum suite must be in 1..12, got 13"
 
     def test_quantum_suite_passes(self, capsys):
         code, doc, _ = run_cli(capsys, "verify", "--suite", "quantum", "--max-n", "5")

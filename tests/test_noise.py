@@ -21,9 +21,8 @@ from lcplearn import (
     simulate,
 )
 from lcplearn import _streams, kernels, noise
-from lcplearn._streams import MAX_SHOTS, fill_uniform, iter_uniform
+from lcplearn._streams import MAX_SHOTS, iter_uniform
 from lcplearn.noise import _BLOCK_SHOTS, _seed_tuple, _transpiled, exact_distribution
-from lcplearn.transpile import CouplingGraph
 
 DEMO_SECRETS = ("00", "01", "10", "11", "000", "001", "010", "011", "100", "101", "110", "111")
 
@@ -226,12 +225,12 @@ class TestRunNoisy:
         the faulty rows are resimulated without `simulate`."""
         calls = []
 
-        def counted(circuit, *initial):
+        def counted(circuit):
             calls.append(circuit)
-            return simulate(circuit, *initial)
+            return simulate(circuit)
 
         monkeypatch.setattr(noise, "simulate", counted)
-        circuit, _ = _transpiled("010", CouplingGraph.quito())
+        circuit, _ = _transpiled("010")
         hist = run_noisy(circuit, NoiseProfile.quito(), shots=8192, seed=3)
         assert sum(hist.values()) == 8192
         assert calls == [circuit]
@@ -288,7 +287,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("secret", DEMO_SECRETS)
     def test_demo_secrets_match_reference(self, secret):
-        circuit, _ = _transpiled(secret, CouplingGraph.quito())
+        circuit, _ = _transpiled(secret)
         quito = NoiseProfile.quito()
         for profile in (NoiseProfile.zero(5), quito, quito.scaled(cx=5, sq=50)):
             expected = _reference_run_noisy(circuit, profile, 2048, seed=(3, 1))
@@ -328,13 +327,13 @@ class TestBitIdentity:
     @pytest.mark.parametrize("kind", ["cx-only", "readout-only", "sq-only", "one-certain-edge"])
     @pytest.mark.parametrize("secret", ["01", "110"])
     def test_profiles_mixing_zero_and_nonzero_rates_match_reference(self, secret, kind):
-        circuit, _ = _transpiled(secret, CouplingGraph.quito())
+        circuit, _ = _transpiled(secret)
         profile = self._mixed_profiles(circuit)[kind]
         expected = _reference_run_noisy(circuit, profile, 1031, seed=(5, 2))
         assert run_noisy(circuit, profile, 1031, seed=(5, 2)) == expected
 
     def test_zero_noise_draws_only_the_measurement_column(self, monkeypatch):
-        circuit, _ = _transpiled("101", CouplingGraph.quito())
+        circuit, _ = _transpiled("101")
         calls = []
 
         def spy(base, shots, columns):
@@ -351,7 +350,7 @@ class TestBitIdentity:
         """A block holds fire booleans, the measurement draw and a flip mask,
         not its draws as floats: the 33 drawn columns of this circuit as an
         8192-row float64 matrix alone are 2.2 MB."""
-        circuit, _ = _transpiled("011", CouplingGraph.quito())
+        circuit, _ = _transpiled("011")
         quito = NoiseProfile.quito()
         run_noisy(circuit, quito, 8192, seed=(0, 1))  # fills the module caches
         tracemalloc.start()
@@ -375,7 +374,7 @@ class TestBatchedReplay:
 
     @pytest.fixture(scope="class")
     def circuit(self):
-        circuit, _ = _transpiled("000", CouplingGraph.quito())
+        circuit, _ = _transpiled("000")
         return circuit
 
     @staticmethod
@@ -474,10 +473,15 @@ class TestBatchedReplay:
     def test_small_batches_match_reference(self, monkeypatch, amplitudes):
         """1 and 3 rows per chunk at width 5."""
         monkeypatch.setattr(noise, "_BATCH_AMPLITUDES", amplitudes)
-        circuit, _ = _transpiled("010", CouplingGraph.quito())
+        circuit, _ = _transpiled("010")
         profile = NoiseProfile.quito().scaled(cx=5, sq=50)
         expected = _reference_run_noisy(circuit, profile, 2048, seed=(3, 1))
         assert run_noisy(circuit, profile, 2048, seed=(3, 1)) == expected
+
+
+def stream_matrix(base, shots, columns):
+    """Row i, column j: item j of `iter_uniform` at shot i."""
+    return np.column_stack(list(iter_uniform(base, np.asarray(shots), columns)))
 
 
 class TestStreams:
@@ -488,13 +492,13 @@ class TestStreams:
     @pytest.mark.parametrize("base", [(0,), (3, 0), (2**31 - 1, 4), (2**40 + 5, 7), (1, 2, 3)])
     def test_rows_equal_default_rng(self, base, shot, m):
         rows = min(3, MAX_SHOTS - shot)
-        out = fill_uniform(np.empty((rows, m)), base, np.arange(shot, shot + rows), range(m))
+        out = stream_matrix(base, np.arange(shot, shot + rows), range(m))
         for i in range(rows):
             assert np.array_equal(out[i], np.random.default_rng((*base, shot + i)).random(m))
 
     def test_shot_index_past_32_bits_rejected(self):
         with pytest.raises(ValueError):
-            fill_uniform(np.empty((2, 1)), (0,), np.array([MAX_SHOTS - 1, MAX_SHOTS]), [0])
+            iter_uniform((0,), np.array([MAX_SHOTS - 1, MAX_SHOTS]), [0])
 
     @pytest.mark.parametrize(
         "columns",
@@ -508,7 +512,7 @@ class TestStreams:
     )
     @pytest.mark.parametrize("base", [(0,), (2**40 + 5, 7)])
     def test_gapped_columns_equal_default_rng(self, base, shots, columns):
-        out = fill_uniform(np.empty((len(shots), len(columns))), base, np.array(shots), columns)
+        out = stream_matrix(base, shots, columns)
         for row, shot in zip(out, shots):
             stream = np.random.default_rng((*base, shot)).random(columns[-1] + 1)
             assert np.array_equal(row, stream[columns])
@@ -546,12 +550,13 @@ class TestStreams:
         ],
     )
     def test_column_iterator_rejects_what_fill_uniform_rejects(self, monkeypatch, base, shots, columns):
+        """Every malformed request, bad seed words included, is refused
+        before any seeding."""
+
         def no_work(entropy):
             raise AssertionError("seeded streams for a refused request")
 
         monkeypatch.setattr(_streams, "_pool", no_work)
-        with pytest.raises(ValueError):
-            fill_uniform(np.empty((2, len(columns))), base, np.array(shots), columns)
         with pytest.raises(ValueError):
             iter_uniform(base, np.array(shots), columns)
 
@@ -583,7 +588,7 @@ class TestStreams:
 
         monkeypatch.setattr(_streams, "_pool", no_work)
         with pytest.raises(ValueError):
-            fill_uniform(np.empty((2, len(columns))), (0,), np.array(shots), columns)
+            iter_uniform((0,), np.array(shots), columns)
 
     def test_more_than_two_to_the_32_shots_rejected_before_any_work(self, monkeypatch):
         def no_work(circuit):
@@ -704,11 +709,8 @@ class TestEstimateAsp:
 
     def test_odd_n_counts_either_last_bit(self):
         """Only the learned prefix matters: the tail query corrects bit 3."""
-        from lcplearn.noise import _transpiled
-        from lcplearn.transpile import CouplingGraph
-
         s = SecretString.from_string("110")
-        _, report = _transpiled(str(s), CouplingGraph.quito())
+        _, report = _transpiled(str(s))
         readout = [0.0] * 5
         readout[report.mapping[2]] = 1.0  # always flip the measured third bit
         profile = NoiseProfile({}, tuple(readout), (0.0,) * 5)

@@ -246,12 +246,6 @@ class TestFullCircuit:
                     x_bits = x_bits[:-1] + (last,)
                 assert x_bits == run_quantum_learn(s).recovered
 
-    def test_wider_q_register(self):
-        s = SecretString.from_string("11")
-        circuit = build_full_circuit(s, t=2)
-        assert circuit.width == 4
-        assert simulate(circuit).dominant_outcome() == "1101"
-
     def test_even_n4_round_trip(self):
         s = SecretString.from_string("1011")
         outcome = simulate(build_full_circuit(s)).dominant_outcome()
@@ -270,4 +264,4 @@ class TestFullCircuit:
         with pytest.raises(ValueError, match="limited to 12 qubits"):
             synth_diagonal(np.ones(1 << 13))
         with pytest.raises(ValueError, match="limited to 12 qubits"):
-            build_full_circuit(SecretString.from_string("01"), t=11)
+            build_full_circuit(SecretString.from_string("0110100110"))  # t = 4: 14 qubits

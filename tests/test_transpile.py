@@ -563,12 +563,6 @@ class TestTranspile:
         assert report.mapping == (3, 4)
         assert final.gates == (CX(4, 5),)
 
-    def test_unoptimized_never_beats_optimized(self):
-        circuit = build_full_circuit(SecretString.from_string("10"))
-        _, with_opt = transpile(circuit, LINEAR3, opt=True)
-        _, without = transpile(circuit, LINEAR3, opt=False)
-        assert with_opt.final_counts["cx"] <= without.final_counts["cx"]
-
     def test_too_wide_rejected(self):
         with pytest.raises(ValueError):
             transpile(Circuit(4, [X(1)]), LINEAR3)
@@ -690,11 +684,7 @@ class TestMappingSearch:
         _, report = transpile(Circuit(2, [X(1)]), QUITO)
         assert report.mapping == (0, 1)
 
-    @pytest.mark.parametrize("opt,names", [
-        (True, ["input", "map", "route", "rewrite", "optimize"]),
-        (False, ["input", "map", "route", "rewrite"]),
-    ])
-    def test_stage_records_built_for_the_winner_only(self, monkeypatch, opt, names):
+    def test_stage_records_built_for_the_winner_only(self, monkeypatch):
         """One record per pass of the winner; the map record reuses the
         input's, since placing keeps gate counts and depth."""
         built = []
@@ -705,12 +695,13 @@ class TestMappingSearch:
             return original(name, circuit)
 
         monkeypatch.setattr(StageRecord, "of", counting)
-        _, report = transpile(build_full_circuit(SecretString.from_string("101")), QUITO, opt=opt)
+        _, report = transpile(build_full_circuit(SecretString.from_string("101")), QUITO)
+        names = ["input", "map", "route", "rewrite", "optimize"]
         assert built == [name for name in names if name != "map"]
         assert [s.name for s in report.stages] == names
 
     def test_explicit_compile_takes_one_depth_pass_per_record(self, monkeypatch):
-        """input and map share one depth pass: 4 with `opt`, not 5."""
+        """input and map share one depth pass: 4 passes for 5 records."""
         calls = []
         original = Circuit.depth
 
@@ -752,18 +743,17 @@ class TestMappingSearch:
             transpile(Circuit(4, [CX(1, 4)]), CouplingGraph.linear(27))
 
     @pytest.mark.parametrize("circuit,graph", KEYED_CASES[:4], ids=KEYED_IDS)
-    @pytest.mark.parametrize("opt", [True, False])
-    def test_keyed_search_equals_exhaustive_search(self, circuit, graph, opt):
+    def test_keyed_search_equals_exhaustive_search(self, circuit, graph):
         """Compiling one mapping per relabelled routed circuit picks the
         same mapping, circuit and report as compiling every mapping on its
         own."""
         compiles = {
-            physical: transpile(circuit, graph, mapping=QubitMapping(physical), opt=opt)
+            physical: transpile(circuit, graph, mapping=QubitMapping(physical))
             for physical in itertools.permutations(range(graph.num_qubits), circuit.width)
         }
         best = min(compiles, key=lambda p: (compiles[p][1].final_counts["cx"], compiles[p][1].final_depth, p))
         want_final, want_report = compiles[best]
-        final, report = transpile(circuit, graph, opt=opt)
+        final, report = transpile(circuit, graph)
         assert report.mapping == best
         assert serialize(final) == serialize(want_final)
         assert report.to_dict() == want_report.to_dict()
