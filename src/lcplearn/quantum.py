@@ -11,9 +11,11 @@ The state entering every round is a basis state, so a round only ever
 moves four amplitudes.  run_quantum_learn therefore computes each round
 as R . diag(signs) . (H x H)|00> on those four numbers and carries the
 recovered prefix as an int: O(n) work per round at any n.  The dense
-(n+t)-qubit statevector, advanced by _traced_round, stays the reference.
-The traced run and certify_round use it, because their RoundTraces hold
-full states, and it is bounded by MAX_DENSE_QUBITS.
+(n+t)-qubit statevector stays the reference for the traced run and
+certify_round, whose RoundTraces hold full states.  _traced_round applies
+a round to the only axes it touches, the pair and the q register: 2x2
+and 4x4 products and one index gather.  A traced run is bounded by
+MAX_DENSE_QUBITS, for one state and for all its snapshots together.
 """
 
 import math
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, H, X
+from .circuit import Circuit, H, X, gate_matrix
 from .oracle import PhaseOracle, Query, QueryLedger, SecretString, f
-from .statevector import Statevector, init_basis
+from .statevector import MAX_DENSE_QUBITS, Statevector, check_dense_width, init_basis
 
 AMP_TOL = 1e-9
 
@@ -65,12 +67,13 @@ def r_operator() -> np.ndarray:
 
 
 # Built once for the per-round applications and read-only: _R for the
-# four real amplitudes of _pair_round, _R_COMPLEX for apply_unitary2 on
-# the dense state, which then takes it without a copy.
+# four real amplitudes of _pair_round; _R_COMPLEX and H's own matrix for
+# the products _traced_round takes on the dense state's pair axis.
 _R = r_operator()
 _R.flags.writeable = False
 _R_COMPLEX = _R.astype(np.complex128)
 _R_COMPLEX.flags.writeable = False
+_H_COMPLEX = gate_matrix(H(1))
 
 
 def q_value(i: int) -> int:
@@ -174,21 +177,26 @@ def _candidate_indices(s: SecretString, i: int, t: int) -> tuple[list[int], tupl
 def _traced_round(
     state: Statevector, rc: RoundCircuit, s: SecretString, layout: AlgorithmLayout
 ) -> RoundTrace:
-    """Apply one round while snapshotting the three intermediate states."""
-    i = rc.index
+    """Apply one round while snapshotting the three intermediate states.
+
+    Each stage writes a new array, its snapshot; R acts on the pair as
+    adjacent qubits.  state.amps ends bound to the collapsed array.
+    """
+    i, t = rc.index, layout.t
+    amps = state.amps
     for q in rc.h_qubits:
-        state.apply_gate(H(q))
-    for q in rc.x_qubits:
-        state.apply_gate(X(q))
-    psi_superposed = state.amps.copy()
+        amps = np.matmul(_H_COMPLEX, amps.reshape(1 << (q - 1), 2, -1))
+    mask = sum(1 << (state.num_qubits - q) for q in rc.x_qubits)
+    psi_superposed = np.take(amps.reshape(-1, 1 << t), np.arange(1 << t) ^ mask, axis=1).reshape(-1)
 
+    state.amps = psi_superposed.copy()
     rc.oracle.apply(state)
-    psi_phased = state.amps.copy()
+    psi_phased = state.amps
 
-    state.apply_unitary2(*rc.r_qubits, _R_COMPLEX)
-    psi_collapsed = state.amps.copy()
+    psi_collapsed = np.matmul(_R_COMPLEX, psi_phased.reshape(1 << (rc.r_qubits[0] - 1), 4, -1)).reshape(-1)
+    state.amps = psi_collapsed
 
-    idxs, cands = _candidate_indices(s, i, layout.t)
+    idxs, cands = _candidate_indices(s, i, t)
     alphas = {k: float(psi_phased[idx].real) for k, idx in zip(_K_PAIRS, idxs)}
     return RoundTrace(
         round_index=i,
@@ -271,7 +279,8 @@ def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:
 
     With trace=True the rounds run on the dense statevector and return
     each round's intermediate states; that needs n + t <= MAX_DENSE_QUBITS
-    and raises ValueError beyond it.
+    and the 3 * rounds snapshots to fit one such state's amplitudes, and
+    raises ValueError beyond either before allocating.
     """
     n = s.n
     layout = AlgorithmLayout.for_n(n)
@@ -282,7 +291,12 @@ def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:
     if layout.rounds > 0:
         oracle = PhaseOracle(s, layout.t, ledger)
         if trace:
-            state = init_basis(n + layout.t, 0)
+            width = n + layout.t
+            check_dense_width(width)
+            if 3 * layout.rounds << width > 1 << MAX_DENSE_QUBITS:
+                raise ValueError(f"{3 * layout.rounds} snapshots of 2^{width} amplitudes exceed "
+                                 f"the trace budget of 2^{MAX_DENSE_QUBITS} amplitudes")
+            state = init_basis(width, 0)
             for i in range(1, layout.rounds + 1):
                 traces.append(_traced_round(state, build_round_circuit(i, layout, oracle), s, layout))
             outcome = state.dominant_outcome(tol=AMP_TOL)

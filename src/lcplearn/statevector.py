@@ -55,13 +55,6 @@ class Statevector:
             if not 1 <= q <= self.num_qubits:
                 raise ValueError(f"qubit {q} out of range 1..{self.num_qubits}")
 
-    def apply_unitary2(self, q1: int, q2: int, u: np.ndarray) -> "Statevector":
-        if q1 == q2:
-            raise ValueError("two-qubit unitary needs distinct qubits")
-        self._check((q1, q2))
-        kernels.apply_unitary(self.amps, self.num_qubits, (q1, q2), np.asarray(u, dtype=np.complex128))
-        return self
-
     def apply_gate(self, gate: Gate) -> "Statevector":
         self._check(gate.qubits)
         kernels.apply_unitary(self.amps, self.num_qubits, gate.qubits, gate_matrix(gate))

@@ -57,6 +57,10 @@ class TestLearn:
             line = refused(capsys, "learn", "--secret", "1" * bits, "--trace")
             assert line.startswith("learn: --trace: ") and "dense simulation limit" in line
 
+    def test_trace_over_the_snapshot_budget_is_usage_error(self, capsys):
+        line = refused(capsys, "learn", "--secret", "1" * 16, "--trace")
+        assert line == "learn: --trace: 24 snapshots of 2^20 amplitudes exceed the trace budget of 2^24 amplitudes"
+
     def test_untraced_learn_has_no_dense_limit(self, capsys):
         code, doc, _ = run_cli(capsys, "learn", "--secret", "01" * 15)
         assert code == 0
@@ -118,7 +122,7 @@ class TestSynth:
         assert err.value.code == 2
         assert not (tmp_path / "c.qasm").exists()
 
-    def test_no_synthesis_option_besides_t(self, capsys, tmp_path):
+    def test_no_option_selects_another_synthesis(self, capsys, tmp_path):
         """The Gray walk is the only synthesis; no flag selects another."""
         with pytest.raises(SystemExit) as err:
             main(["synth", "--secret", "00", "--no-gray", "--out", str(tmp_path / "c.qasm")])

@@ -549,7 +549,7 @@ class TestStreams:
             "2-d-shots", "float-shots", "negative-seed-word",
         ],
     )
-    def test_column_iterator_rejects_what_fill_uniform_rejects(self, monkeypatch, base, shots, columns):
+    def test_malformed_request_rejected_before_any_seeding(self, monkeypatch, base, shots, columns):
         """Every malformed request, bad seed words included, is refused
         before any seeding."""
 
@@ -570,25 +570,6 @@ class TestStreams:
             stepped = (stepped * _streams._PCG_MULT + inc) % 2**128
         mult, plus = _streams._jump(m)
         assert (mult * state + plus * inc) % 2**128 == stepped
-
-    @pytest.mark.parametrize(
-        "shots, columns",
-        [
-            ([0, 1], [3, 2]),
-            ([0, 1], [2, 2]),
-            ([0, 1], [-1, 2]),
-            ([0, MAX_SHOTS], [0]),
-            ([-1, 0], [0]),
-        ],
-        ids=["unsorted-column", "repeated-column", "negative-column", "shot-2^32", "negative-shot"],
-    )
-    def test_bad_columns_or_shots_rejected_before_any_work(self, monkeypatch, shots, columns):
-        def no_work(entropy):
-            raise AssertionError("seeded streams for a refused request")
-
-        monkeypatch.setattr(_streams, "_pool", no_work)
-        with pytest.raises(ValueError):
-            iter_uniform((0,), np.array(shots), columns)
 
     def test_more_than_two_to_the_32_shots_rejected_before_any_work(self, monkeypatch):
         def no_work(circuit):

@@ -16,13 +16,57 @@ from lcplearn import (
     run_quantum_learn,
 )
 from lcplearn import kernels, quantum, statevector
-from lcplearn.circuit import X
-from lcplearn.quantum import _pair_round, _traced_round, q_value
+from lcplearn.circuit import H, X
+from lcplearn.quantum import RoundTrace, _bits_to_int, _candidate_indices, _pair_round, _traced_round, q_value
 
 
 def all_secrets(n):
     for value in range(1 << n):
         yield SecretString(tuple((value >> (n - 1 - j)) & 1 for j in range(n)))
+
+
+def _reference_round(state, rc, s, layout):
+    """One round gate by gate: H and X through Statevector.apply_gate, the
+    oracle through oracle.apply and R through kernels.apply_unitary, each
+    in place, with a copy of the state after every stage."""
+    for q in rc.h_qubits:
+        state.apply_gate(H(q))
+    for q in rc.x_qubits:
+        state.apply_gate(X(q))
+    superposed = state.amps.copy()
+    rc.oracle.apply(state)
+    phased = state.amps.copy()
+    kernels.apply_unitary(state.amps, state.num_qubits, rc.r_qubits, quantum._R_COMPLEX)
+    i = rc.index
+    idxs, cands = _candidate_indices(s, i, layout.t)
+    return RoundTrace(
+        round_index=i,
+        q_prev=q_value(i - 1),
+        q_cur=q_value(i),
+        prefix=s.bits[: 2 * i - 2],
+        candidates=cands,
+        alphas={k: float(phased[idx].real) for k, idx in zip(quantum._K_PAIRS, idxs)},
+        superposed=superposed,
+        phased=phased,
+        collapsed=state.amps.copy(),
+    )
+
+
+def _reference_secrets():
+    """Every secret with n = 2..8 and three random ones at each n = 9..14."""
+    rng = np.random.default_rng(20)
+    yield from (s for n in range(2, 9) for s in all_secrets(n))
+    for n in range(9, 15):
+        for _ in range(3):
+            yield SecretString(tuple(int(b) for b in rng.integers(0, 2, n)))
+
+
+def _assert_same_round(got, want):
+    assert got.round_index == want.round_index
+    assert (got.q_prev, got.q_cur, got.prefix, got.candidates) == (want.q_prev, want.q_cur, want.prefix, want.candidates)
+    assert got.alphas == want.alphas
+    for stage in ("superposed", "phased", "collapsed"):
+        assert np.array_equal(getattr(got, stage), getattr(want, stage)), stage
 
 
 class TestReflection:
@@ -139,6 +183,69 @@ class TestRoundCircuit:
         layout = AlgorithmLayout.for_n(4)
         with pytest.raises(ValueError):
             build_round_circuit(3, layout, PhaseOracle(SecretString.from_string("0000"), 2))
+
+
+class TestAxisProducts:
+    """The dense round on the state's axes against the same round gate by gate."""
+
+    def test_traced_runs_equal_the_gate_by_gate_rounds(self):
+        for s in _reference_secrets():
+            layout = AlgorithmLayout.for_n(s.n)
+            traces = run_quantum_learn(s, trace=True).traces
+            assert len(traces) == layout.rounds
+            state, oracle = init_basis(s.n + layout.t, 0), PhaseOracle(s, layout.t)
+            for i, got in enumerate(traces, start=1):
+                _assert_same_round(got, _reference_round(state, build_round_circuit(i, layout, oracle), s, layout))
+
+    def test_certified_rounds_equal_the_gate_by_gate_rounds(self):
+        for s in _reference_secrets():
+            n, layout = s.n, AlgorithmLayout.for_n(s.n)
+            oracle = PhaseOracle(s, layout.t)
+            for i in range(1, layout.rounds + 1):
+                prefix = _bits_to_int(s.bits[: 2 * i - 2] + (0,) * (n - 2 * i + 2))
+                state = init_basis(n + layout.t, (prefix << layout.t) | q_value(i - 1))
+                want = _reference_round(state, build_round_circuit(i, layout, oracle), s, layout)
+                _assert_same_round(certify_round(s, i), want)
+
+    def test_stages_write_new_arrays_and_the_state_moves_on(self):
+        s = SecretString.from_string("011010")
+        layout = AlgorithmLayout.for_n(6)
+        state = init_basis(6 + layout.t, 0)
+        start = state.amps
+        rt = _traced_round(state, build_round_circuit(1, layout, PhaseOracle(s, layout.t)), s, layout)
+        arrays = (start, rt.superposed, rt.phased, rt.collapsed)
+        assert all(not np.shares_memory(a, b) for j, a in enumerate(arrays) for b in arrays[j + 1:])
+        assert state.amps is rt.collapsed
+        assert start[0] == 1.0 and np.count_nonzero(start) == 1
+
+
+class TestTraceBudget:
+    """A traced run keeps 3 * rounds snapshots; together they may hold no
+    more amplitudes than one MAX_DENSE_QUBITS-qubit state."""
+
+    @pytest.mark.parametrize("n, snapshots, width", [(16, 24, 20), (19, 27, 24)])
+    def test_over_the_budget_refused_before_any_state(self, monkeypatch, n, snapshots, width):
+        def no_state(*args):
+            raise AssertionError("allocated a state for a refused trace")
+
+        monkeypatch.setattr(quantum, "init_basis", no_state)
+        with pytest.raises(ValueError, match=rf"^{snapshots} snapshots of 2\^{width} amplitudes exceed the trace budget"):
+            run_quantum_learn(SecretString.from_string("1" * n), trace=True)
+
+    def test_fifteen_bits_pass_the_budget(self, monkeypatch):
+        widths = []
+
+        class Reached(Exception):
+            pass
+
+        def spy(width, index):
+            widths.append(width)
+            raise Reached
+
+        monkeypatch.setattr(quantum, "init_basis", spy)
+        with pytest.raises(Reached):
+            run_quantum_learn(SecretString.from_string("1" * 15), trace=True)
+        assert widths == [19]
 
 
 class TestRunQuantumLearn:

@@ -155,8 +155,5 @@ def test_each_gate_followed_by_inverse_is_identity():
         before = state.amps.copy()
         state.apply_gate(gate)
         inverse = gate_matrix(gate).conj().T
-        if gate.kind == "cx":
-            state.apply_unitary2(gate.qubits[0], gate.qubits[1], inverse)
-        else:
-            kernels.apply_unitary(state.amps, state.num_qubits, gate.qubits, inverse)
+        kernels.apply_unitary(state.amps, state.num_qubits, gate.qubits, inverse)
         assert np.max(np.abs(state.amps - before)) < 1e-12
