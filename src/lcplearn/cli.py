@@ -19,7 +19,7 @@ from .synth import _build
 from .transpile import CouplingGraph, QubitMapping, transpile
 from .verify import SUITES, run_suites
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _report(command: str, params: dict, payload: dict) -> None:
@@ -41,11 +41,6 @@ def _secret(command: str, text: str) -> SecretString:
     return SecretString.from_string(text)
 
 
-def _amplitudes(vec) -> list:
-    """Complex amplitudes as [re, im] pairs for the JSON trace."""
-    return [[float(a.real), float(a.imag)] for a in vec]
-
-
 def _cmd_learn(args) -> int:
     s = _secret("learn", args.secret)
     if args.mode == "classical":
@@ -60,7 +55,7 @@ def _cmd_learn(args) -> int:
     else:
         try:
             result = run_quantum_learn(s, trace=args.trace)
-        except ValueError as exc:  # only the dense traced path has a width limit
+        except ValueError as exc:  # only a traced run has a limit on n
             _refuse("learn", f"--trace: {exc}")
         payload = {
             "recovered": "".join(map(str, result.recovered)),
@@ -77,13 +72,10 @@ def _cmd_learn(args) -> int:
                     "prefix": "".join(map(str, rt.prefix)),
                     "candidates": ["".join(map(str, c)) for c in rt.candidates],
                     "alphas": {f"{k1}{k2}": a for (k1, k2), a in rt.alphas.items()},
+                    # each snapshot's support: its index's x then q bits to [re, im]
                     "states": {
-                        name: _amplitudes(vec)
-                        for name, vec in (
-                            ("superposed", rt.superposed),
-                            ("phased", rt.phased),
-                            ("collapsed", rt.collapsed),
-                        )
+                        stage: {format(idx, f"0{rt.width}b"): [amp.real, amp.imag] for idx, amp in support.items()}
+                        for stage, support in rt.supports.items()
                     },
                 }
                 for rt in result.traces

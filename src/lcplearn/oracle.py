@@ -3,9 +3,10 @@
 A query is a pair (x, q); the answer is 1 iff the longest common prefix
 of the secret and x is longer than q.  The quantum form is a +-1 phase
 diagonal over the (x, q) register, indexed with x as the high n bits and
-q as the low t bits.  The learner's own rounds touch only four (x, q)
-entries each, which PhaseOracle.apply_pair signs on a length-4 amplitude
-array without building the diagonal.
+q as the low t bits; synthesis reads that diagonal.  The learner's
+rounds touch only a few (x, q) entries each, which PhaseOracle.apply_pair
+signs on an amplitude array of those entries without building the
+diagonal.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .statevector import Statevector, check_dense_width
+from .statevector import check_dense_width
 
 
 def _as_bits(value) -> tuple[int, ...]:
@@ -47,7 +48,7 @@ class SecretString:
         return int(str(self), 2)
 
     def __str__(self):
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits))
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,10 @@ def oracle_diagonal(s: SecretString, t: int) -> np.ndarray:
 
 
 class PhaseOracle:
-    """Phase-kickback form of the teacher, applied directly as a diagonal.
+    """Phase-kickback form of the teacher, applied to the learner's entries.
 
-    The oracle ancilla is never materialized; each application to a state
-    counts as one quantum oracle use on the ledger.  The dense diagonal is
-    built on first use, so an oracle that only ever answers apply_pair
-    never allocates it.
+    The oracle ancilla is never materialized; each application counts as
+    one quantum oracle use on the ledger.
     """
 
     def __init__(self, s: SecretString, t: int, ledger: QueryLedger | None = None):
@@ -146,22 +145,9 @@ class PhaseOracle:
         self.t = t
         self.ledger = ledger
         self._secret_int = s.as_int()
-        self._signs: np.ndarray | None = None
-
-    @property
-    def signs(self) -> np.ndarray:
-        """The +-1 diagonal over the full (x, q) register."""
-        if self._signs is None:
-            self._signs = oracle_diagonal(self.secret, self.t)
-        return self._signs
-
-    def apply(self, state: Statevector) -> None:
-        if self.ledger is not None:
-            self.ledger.count_quantum()
-        state.apply_phase_diagonal(self.signs)
 
     def apply_pair(self, amps: np.ndarray, candidates, q: int) -> None:
-        """One oracle use on the four amplitudes of a learner round, in place.
+        """One oracle use on the amplitudes of a learner round, in place.
 
         amps[k] is the amplitude of the n-bit candidate x = candidates[k]
         (an int, MSB first), with the q register fixed at `q`.  Its sign

@@ -10,12 +10,14 @@ query for the last bit; n=1 is a single classical query.
 The state entering every round is a basis state, so a round only ever
 moves four amplitudes.  run_quantum_learn therefore computes each round
 as R . diag(signs) . (H x H)|00> on those four numbers and carries the
-recovered prefix as an int: O(n) work per round at any n.  The dense
-(n+t)-qubit statevector stays the reference for the traced run and
-certify_round, whose RoundTraces hold full states.  _traced_round applies
-a round to the only axes it touches, the pair and the q register: 2x2
-and 4x4 products and one index gather.  A traced run is bounded by
-MAX_DENSE_QUBITS, for one state and for all its snapshots together.
+recovered prefix as an int: O(n) work per round at any n.  The traced
+run and certify_round keep each round's three intermediate states, and
+run the round on the state's support: a dict from basis index
+(x << t) | q to amplitude.  Each H splits an entry in two, the q shift
+XORs the indices, the oracle signs every entry and R mixes each pair
+block, dropping exact zeros, so an amplitude that leaks shows up as an
+extra entry.  A RoundTrace builds a dense 2^(n+t) view of a stage only
+when it is read.  A traced run is limited to MAX_TRACE_N bits.
 """
 
 import math
@@ -25,9 +27,17 @@ import numpy as np
 
 from .circuit import Circuit, H, X, gate_matrix
 from .oracle import PhaseOracle, Query, QueryLedger, SecretString, f
-from .statevector import MAX_DENSE_QUBITS, Statevector, check_dense_width, init_basis
+# init_basis: read only by perfbench's tracer, which patches
+# quantum.init_basis; drop it with the next change to the benchmark.
+from .statevector import check_dense_width, init_basis  # noqa: F401
 
 AMP_TOL = 1e-9
+# A traced run keeps about 3n/2 snapshots with (n+t)-bit indices, so its
+# trace grows as n^2: about 7 MB of CLI JSON at this bound.
+MAX_TRACE_N = 1024
+
+# A state's nonzero amplitudes, keyed by basis index in ascending order.
+Support = dict[int, complex]
 
 
 @dataclass(frozen=True)
@@ -66,14 +76,10 @@ def r_operator() -> np.ndarray:
     return (np.ones((4, 4)) - 2.0 * np.eye(4)) / 2.0
 
 
-# Built once for the per-round applications and read-only: _R for the
-# four real amplitudes of _pair_round; _R_COMPLEX and H's own matrix for
-# the products _traced_round takes on the dense state's pair axis.
+# Built once and read-only: the reflection of every round, on the four
+# amplitudes of _pair_round and on the supports of _traced_round.
 _R = r_operator()
 _R.flags.writeable = False
-_R_COMPLEX = _R.astype(np.complex128)
-_R_COMPLEX.flags.writeable = False
-_H_COMPLEX = gate_matrix(H(1))
 
 
 def q_value(i: int) -> int:
@@ -81,16 +87,19 @@ def q_value(i: int) -> int:
     return 0 if i == 0 else 2 * i - 1
 
 
-def q_shift(i: int, t: int) -> Circuit:
-    """X gates flipping the q register from its round-(i-1) to round-i value."""
+def _q_flips(i: int, t: int) -> list[int]:
+    """Qubits 1..t of the q register that flip from its round-(i-1) to round-i value."""
     if i < 1:
         raise ValueError("rounds are numbered from 1")
     prev, cur = q_value(i - 1), q_value(i)
     if cur >= (1 << t):
         raise ValueError(f"round {i} does not fit a {t}-qubit q register")
-    mask = prev ^ cur
-    gates = [X(j) for j in range(1, t + 1) if (mask >> (t - j)) & 1]
-    return Circuit(t, gates)
+    return [j for j in range(1, t + 1) if ((prev ^ cur) >> (t - j)) & 1]
+
+
+def q_shift(i: int, t: int) -> Circuit:
+    """X gates flipping the q register from its round-(i-1) to round-i value."""
+    return Circuit(t, [X(j) for j in _q_flips(i, t)])
 
 
 @dataclass(frozen=True)
@@ -108,11 +117,10 @@ def build_round_circuit(i: int, layout: AlgorithmLayout, oracle: PhaseOracle) ->
     if not 1 <= i <= layout.rounds:
         raise ValueError(f"round {i} out of range 1..{layout.rounds}")
     n, t = layout.n, layout.t
-    shift = q_shift(i, t)
     return RoundCircuit(
         index=i,
         h_qubits=(2 * i - 1, 2 * i),
-        x_qubits=tuple(n + g.qubits[0] for g in shift.gates),
+        x_qubits=tuple(n + j for j in _q_flips(i, t)),
         r_qubits=(2 * i - 1, 2 * i),
         oracle=oracle,
     )
@@ -126,9 +134,20 @@ class RoundTrace:
     prefix: tuple[int, ...]
     candidates: tuple[tuple[int, ...], ...]
     alphas: dict[tuple[int, int], float]
-    superposed: np.ndarray
-    phased: np.ndarray
-    collapsed: np.ndarray
+    width: int  # n + t qubits
+    supports: dict[str, Support]  # "superposed", "phased", "collapsed"
+
+    def dense(self, stage: str) -> np.ndarray:
+        """The stage's full 2^width amplitude vector, built on each read."""
+        check_dense_width(self.width)
+        amps = np.zeros(1 << self.width, dtype=np.complex128)
+        support = self.supports[stage]
+        amps[list(support)] = list(support.values())
+        return amps
+
+    superposed = property(lambda self: self.dense("superposed"))
+    phased = property(lambda self: self.dense("phased"))
+    collapsed = property(lambda self: self.dense("collapsed"))
 
 
 @dataclass
@@ -152,95 +171,88 @@ class CertificationError(AssertionError):
 
 
 _K_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _bits_to_int(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
+    """The bit tuple read MSB first, through its ASCII digits."""
+    return int(bytes(bits).translate(_BIT_CHARS) or b"0", 2)
 
 
 def _candidate_indices(s: SecretString, i: int, t: int) -> tuple[list[int], tuple]:
     """Basis indices of the four candidates prefix + k + zeros, with q = 2i-1."""
-    n = s.n
-    prefix = s.bits[: 2 * i - 2]
-    q_cur = q_value(i)
-    idxs, cands = [], []
-    for k1, k2 in _K_PAIRS:
-        bits = prefix + (k1, k2) + (0,) * (n - 2 * i)
-        idxs.append((_bits_to_int(bits) << t) | q_cur)
-        cands.append(bits)
-    return idxs, tuple(cands)
+    cands = tuple(s.bits[: 2 * i - 2] + k + (0,) * (s.n - 2 * i) for k in _K_PAIRS)
+    return [(_bits_to_int(bits) << t) | q_value(i) for bits in cands], cands
 
 
-def _traced_round(
-    state: Statevector, rc: RoundCircuit, s: SecretString, layout: AlgorithmLayout
-) -> RoundTrace:
-    """Apply one round while snapshotting the three intermediate states.
+def _apply(support: Support, width: int, qubits: tuple, u: list) -> Support:
+    """Apply the 2x2 or 4x4 matrix u (nested lists) on `qubits` of a
+    width-qubit support.  The first qubit is u's high bit and the more
+    significant one, so entries read in ascending index order feed each
+    output in u's column order, the order of the dense kernels' sums.
+    Exact zeros are dropped."""
+    bits = [width - q for q in qubits]
+    offsets = [sum(((row >> (len(bits) - 1 - j)) & 1) << b for j, b in enumerate(bits)) for row in range(len(u))]
+    block = sum(1 << b for b in bits)
+    out: Support = {}
+    for idx, amp in support.items():
+        col = offsets.index(idx & block)
+        base = idx & ~block
+        for row, offset in enumerate(offsets):
+            out[base | offset] = out.get(base | offset, 0) + u[row][col] * amp
+    return {idx: amp for idx, amp in sorted(out.items()) if amp != 0}
 
-    Each stage writes a new array, its snapshot; R acts on the pair as
-    adjacent qubits.  state.amps ends bound to the collapsed array.
+
+def _traced_round(support: Support, rc: RoundCircuit, s: SecretString, layout: AlgorithmLayout) -> RoundTrace:
+    """Apply one round to a support, keeping the support after each stage.
+
+    Only the q shift touches the q register, so it holds one basis value
+    all round and the oracle signs every entry at that q.  The input
+    support is left as it is; the next round starts from the collapsed one.
     """
     i, t = rc.index, layout.t
-    amps = state.amps
+    width = s.n + t
     for q in rc.h_qubits:
-        amps = np.matmul(_H_COMPLEX, amps.reshape(1 << (q - 1), 2, -1))
-    mask = sum(1 << (state.num_qubits - q) for q in rc.x_qubits)
-    psi_superposed = np.take(amps.reshape(-1, 1 << t), np.arange(1 << t) ^ mask, axis=1).reshape(-1)
+        support = _apply(support, width, (q,), gate_matrix(H(q)).tolist())
+    mask = sum(1 << (width - q) for q in rc.x_qubits)
+    superposed = dict(sorted((idx ^ mask, amp) for idx, amp in support.items()))
 
-    state.amps = psi_superposed.copy()
-    rc.oracle.apply(state)
-    psi_phased = state.amps
+    (q_reg,) = {idx & ((1 << t) - 1) for idx in superposed}
+    amps = np.array(list(superposed.values()), dtype=np.complex128)
+    rc.oracle.apply_pair(amps, [idx >> t for idx in superposed], q_reg)
+    phased = dict(zip(superposed, amps.tolist()))
 
-    psi_collapsed = np.matmul(_R_COMPLEX, psi_phased.reshape(1 << (rc.r_qubits[0] - 1), 4, -1)).reshape(-1)
-    state.amps = psi_collapsed
+    collapsed = _apply(phased, width, rc.r_qubits, _R.tolist())
 
     idxs, cands = _candidate_indices(s, i, t)
-    alphas = {k: float(psi_phased[idx].real) for k, idx in zip(_K_PAIRS, idxs)}
     return RoundTrace(
         round_index=i,
         q_prev=q_value(i - 1),
         q_cur=q_value(i),
         prefix=s.bits[: 2 * i - 2],
         candidates=cands,
-        alphas=alphas,
-        superposed=psi_superposed,
-        phased=psi_phased,
-        collapsed=psi_collapsed,
+        alphas={k: phased.get(idx, 0j).real for k, idx in zip(_K_PAIRS, idxs)},
+        width=width,
+        supports={"superposed": superposed, "phased": phased, "collapsed": collapsed},
     )
 
 
-def _max_deviation(vec: np.ndarray, idxs, values) -> float:
-    """max |vec - expected|, where expected holds `values` at idxs and 0 elsewhere."""
-    dev = np.abs(vec)
-    dev[idxs] = np.abs(vec[idxs] - values)
-    return float(dev.max())
-
-
 def _check_round_trace(trace: RoundTrace, s: SecretString, layout: AlgorithmLayout) -> None:
-    i = trace.round_index
-    idxs, _ = _candidate_indices(s, i, layout.t)
-
-    if _max_deviation(trace.superposed, idxs, 0.5) > AMP_TOL:
-        raise CertificationError(
-            "superposition", f"round {i} state is not uniform over the candidate set"
-        )
-
+    """Compare each stage's support with the predicted one, entry by entry:
+    a missing or extra entry counts as its whole amplitude."""
+    i, t = trace.round_index, layout.t
+    idxs, _ = _candidate_indices(s, i, t)
     hit = (s.bits[2 * i - 2], s.bits[2 * i - 1])
-    phases = [-0.5 if k == hit else 0.5 for k in _K_PAIRS]
-    if _max_deviation(trace.phased, idxs, phases) > AMP_TOL:
-        raise CertificationError(
-            "phase-pattern", f"round {i} oracle did not flip exactly the matching candidate"
-        )
-
-    n, t = layout.n, layout.t
-    bits = s.bits[: 2 * i] + (0,) * (n - 2 * i)
-    target = (_bits_to_int(bits) << t) | q_value(i)
-    if _max_deviation(trace.collapsed, [target], 1.0) > AMP_TOL:
-        raise CertificationError(
-            "basis-collapse", f"round {i} reflection did not land on a basis state"
-        )
+    target = (_bits_to_int(s.bits[: 2 * i] + (0,) * (layout.n - 2 * i)) << t) | q_value(i)
+    for stage, snapshot, expected, failure in (
+        ("superposition", "superposed", dict.fromkeys(idxs, 0.5), "state is not uniform over the candidate set"),
+        ("phase-pattern", "phased", {idx: -0.5 if k == hit else 0.5 for k, idx in zip(_K_PAIRS, idxs)},
+         "oracle did not flip exactly the matching candidate"),
+        ("basis-collapse", "collapsed", {target: 1.0}, "reflection did not land on a basis state"),
+    ):
+        support = trace.supports[snapshot]
+        if max(abs(support.get(idx, 0) - expected.get(idx, 0)) for idx in support.keys() | expected.keys()) > AMP_TOL:
+            raise CertificationError(stage, f"round {i} {failure}")
 
 
 def _pair_round(rc: RoundCircuit, prefix: int, n: int) -> int:
@@ -254,10 +266,10 @@ def _pair_round(rc: RoundCircuit, prefix: int, n: int) -> int:
     """
     shift = n - 2 * rc.index
     candidates = [((prefix << 2) | k) << shift for k in range(4)]
-    amps = np.full(4, 0.5)  # (H x H)|00>
+    amps = np.array((0.5, 0.5, 0.5, 0.5))  # (H x H)|00>
     rc.oracle.apply_pair(amps, candidates, q_value(rc.index))
-    amps = _R @ amps
-    k = int(np.argmax(np.abs(amps)))
+    amps = (_R @ amps).tolist()
+    k = max(range(4), key=lambda j: abs(amps[j]))
     if amps[k] * amps[k] < 1.0 - AMP_TOL:
         raise RuntimeError(f"round {rc.index} did not collapse to a basis state; learner not exact")
     return k
@@ -277,12 +289,13 @@ def _classical_tail(
 def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:
     """Recover the secret with ceil(n/2) total oracle interactions.
 
-    With trace=True the rounds run on the dense statevector and return
-    each round's intermediate states; that needs n + t <= MAX_DENSE_QUBITS
-    and the 3 * rounds snapshots to fit one such state's amplitudes, and
-    raises ValueError beyond either before allocating.
+    With trace=True the rounds run on the state's support and return each
+    round's intermediate states; that needs n <= MAX_TRACE_N, and raises
+    ValueError beyond it before any round.
     """
     n = s.n
+    if trace and n > MAX_TRACE_N:
+        raise ValueError(f"a traced run is limited to {MAX_TRACE_N} bits, got {n}")
     layout = AlgorithmLayout.for_n(n)
     ledger = QueryLedger()
     traces: list[RoundTrace] = []
@@ -291,18 +304,14 @@ def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:
     if layout.rounds > 0:
         oracle = PhaseOracle(s, layout.t, ledger)
         if trace:
-            width = n + layout.t
-            check_dense_width(width)
-            if 3 * layout.rounds << width > 1 << MAX_DENSE_QUBITS:
-                raise ValueError(f"{3 * layout.rounds} snapshots of 2^{width} amplitudes exceed "
-                                 f"the trace budget of 2^{MAX_DENSE_QUBITS} amplitudes")
-            state = init_basis(width, 0)
+            support: Support = {0: 1 + 0j}
             for i in range(1, layout.rounds + 1):
-                traces.append(_traced_round(state, build_round_circuit(i, layout, oracle), s, layout))
-            outcome = state.dominant_outcome(tol=AMP_TOL)
-            if outcome is None:
+                traces.append(_traced_round(support, build_round_circuit(i, layout, oracle), s, layout))
+                support = traces[-1].supports["collapsed"]
+            idx, amp = max(support.items(), key=lambda entry: abs(entry[1]), default=(0, 0j))
+            if abs(amp) ** 2 < 1.0 - AMP_TOL:
                 raise RuntimeError("final state is not a basis state; learner not exact")
-            x_bits = tuple(int(c) for c in outcome[:n])
+            x_bits = tuple(int(c) for c in format(idx >> layout.t, f"0{n}b"))
         else:
             prefix = 0
             for i in range(1, layout.rounds + 1):
@@ -332,8 +341,7 @@ def certify_round(s: SecretString, i: int) -> RoundTrace:
         raise ValueError(f"round {i} out of range 1..{layout.rounds}")
     n, t = s.n, layout.t
     prefix_bits = s.bits[: 2 * i - 2] + (0,) * (n - (2 * i - 2))
-    state = init_basis(n + t, (_bits_to_int(prefix_bits) << t) | q_value(i - 1))
-    rc = build_round_circuit(i, layout, PhaseOracle(s, t))
-    trace = _traced_round(state, rc, s, layout)
+    start = {(_bits_to_int(prefix_bits) << t) | q_value(i - 1): 1 + 0j}
+    trace = _traced_round(start, build_round_circuit(i, layout, PhaseOracle(s, t)), s, layout)
     _check_round_trace(trace, s, layout)
     return trace

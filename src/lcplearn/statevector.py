@@ -8,6 +8,11 @@ mutated in place by at most one caller at a time.
 Dense buffers are capped at MAX_DENSE_QUBITS qubits: 2^24 complex
 amplitudes are 256 MiB, and a wider request is refused before anything
 is allocated rather than left to fail in the allocator.
+
+The statevector simulates circuits: the synthesized and transpiled
+learner circuits, and the noisy replay.  The learner itself runs on
+the four amplitudes of each round, or on the state's support when it
+is traced, and builds no Statevector.
 """
 
 import numpy as np
@@ -58,16 +63,6 @@ class Statevector:
     def apply_gate(self, gate: Gate) -> "Statevector":
         self._check(gate.qubits)
         kernels.apply_unitary(self.amps, self.num_qubits, gate.qubits, gate_matrix(gate))
-        return self
-
-    def apply_phase_diagonal(self, signs: np.ndarray) -> "Statevector":
-        """Multiply amplitude b by signs[b]; the fast path for phase oracles."""
-        signs = np.asarray(signs, dtype=np.float64)
-        if signs.shape != self.amps.shape:
-            raise ValueError(
-                f"diagonal length {signs.shape[0]} does not match state length {self.amps.shape[0]}"
-            )
-        kernels.apply_signs(self.amps, signs)
         return self
 
     def dominant_outcome(self, tol: float = NORM_TOL) -> str | None:

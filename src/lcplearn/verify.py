@@ -28,6 +28,9 @@ SUITES = ("classical", "quantum", "synth", "transpile", "noise")
 # The quantum suite's random rows: how many secrets in all, and their seed.
 QUANTUM_RANDOM_SECRETS = 256
 QUANTUM_RANDOM_SEED = 2024
+# Round certification past the exhaustive sizes: secrets per size, the sizes.
+CERTIFY_RANDOM_SECRETS = 3
+CERTIFY_SIZES = (64, 256, 1024)
 
 # Published oracle diagonals, indexed (x << t) | q with t = 1.
 PUBLISHED_DIAGONALS = {
@@ -136,18 +139,33 @@ def suite_quantum(max_n: int = 8) -> list[CheckResult]:
     elapsed = time.perf_counter() - start
     rows.append(CheckResult("quantum runtime < 2 min", elapsed < 120.0, f"{elapsed:.2f} s"))
 
-    ok = True
-    detail = ""
-    for n in range(2, 7):
-        for s in _all_secrets(n):
-            for i in range(1, n // 2 + 1):
-                try:
-                    certify_round(s, i)
-                except CertificationError as exc:
-                    ok = False
-                    detail = f"s={s} round {i}: {exc.stage}"
-    rows.append(CheckResult("round certification n <= 6 exhaustive", ok, detail))
+    detail = _certification_failure(s for n in range(2, 7) for s in _all_secrets(n))
+    rows.append(CheckResult("round certification n <= 6 exhaustive", not detail, detail))
+
+    rng = np.random.default_rng(QUANTUM_RANDOM_SEED)
+    start = time.perf_counter()
+    detail = _certification_failure(
+        SecretString(tuple(int(b) for b in rng.integers(0, 2, n)))
+        for n in CERTIFY_SIZES for _ in range(CERTIFY_RANDOM_SECRETS)
+    )
+    elapsed = time.perf_counter() - start
+    summary = f"{CERTIFY_RANDOM_SECRETS} each at n={', '.join(map(str, CERTIFY_SIZES))}, {elapsed:.2f} s"
+    rows.append(
+        CheckResult("round certification random secrets", not detail, "; ".join(filter(None, (summary, detail))))
+    )
     return rows
+
+
+def _certification_failure(secrets) -> str:
+    """Certify every round of each secret: '' if all pass, else the last failure."""
+    detail = ""
+    for s in secrets:
+        for i in range(1, s.n // 2 + 1):
+            try:
+                certify_round(s, i)
+            except CertificationError as exc:
+                detail = f"s={s} round {i}: {exc.stage}"
+    return detail
 
 
 def suite_synth() -> list[CheckResult]:

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 
 import lcplearn
@@ -42,3 +43,16 @@ def test_options_no_workload_sets_are_gone():
     assert list(inspect.signature(lcplearn.transpile).parameters) == ["circuit", "graph", "mapping"]
     assert not hasattr(_streams, "fill_uniform")
     assert not hasattr(lcplearn.Statevector, "copy")
+
+
+def test_dense_learner_paths_are_gone():
+    """The learner's traced and certified rounds run on the state's support:
+    the dense oracle application, its cached diagonal, the dense phase
+    multiply and the dense round's matrices are deleted."""
+    quantum = importlib.import_module("lcplearn.quantum")
+    oracle = lcplearn.PhaseOracle(lcplearn.SecretString.from_string("01"), 1)
+    for name in ("apply", "signs", "_signs"):
+        assert not hasattr(oracle, name), name
+    assert not hasattr(lcplearn.Statevector, "apply_phase_diagonal")
+    for name in ("_H_COMPLEX", "_R_COMPLEX", "_max_deviation", "Statevector"):
+        assert not hasattr(quantum, name), name

@@ -32,7 +32,7 @@ class TestLearn:
         assert code == 0
         assert doc["recovered"] == "110"
         assert doc["total_queries"] == 3
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
 
     def test_quantum_query_count(self, capsys):
         code, doc, _ = run_cli(capsys, "learn", "--secret", "110", "--mode", "quantum")
@@ -47,19 +47,31 @@ class TestLearn:
         assert [r["round"] for r in doc["trace"]] == [1, 2]
         assert doc["trace"][0]["q_cur"] == 1
 
+    def test_trace_lists_each_snapshot_support_by_its_bits(self, capsys):
+        """Keys are the x bits then the q bits, in ascending index order."""
+        code, doc, _ = run_cli(capsys, "learn", "--secret", "0110", "--trace")
+        assert code == 0
+        h = 0.4999999999999999  # (1/sqrt 2)^2 in floating point
+        first = doc["trace"][0]["states"]
+        assert first["superposed"] == {k: [h, 0.0] for k in ("000001", "010001", "100001", "110001")}
+        assert first["phased"]["010001"] == [-h, 0.0]
+        assert list(first["collapsed"]) == ["010001"]
+        assert list(doc["trace"][1]["states"]["collapsed"]) == ["011011"]
+
     def test_invalid_secret_is_usage_error(self, capsys):
         for text in ("10a", "01a", ""):
             line = refused(capsys, "learn", "--secret", text)
             assert line == f"learn: --secret must be a nonempty binary string, got {text!r}"
 
-    def test_trace_over_the_dense_limit_is_usage_error(self, capsys):
-        for bits in (25, 30):
-            line = refused(capsys, "learn", "--secret", "1" * bits, "--trace")
-            assert line.startswith("learn: --trace: ") and "dense simulation limit" in line
+    def test_trace_over_the_bound_is_usage_error(self, capsys):
+        line = refused(capsys, "learn", "--secret", "1" * 1025, "--trace")
+        assert line == "learn: --trace: a traced run is limited to 1024 bits, got 1025"
 
-    def test_trace_over_the_snapshot_budget_is_usage_error(self, capsys):
-        line = refused(capsys, "learn", "--secret", "1" * 16, "--trace")
-        assert line == "learn: --trace: 24 snapshots of 2^20 amplitudes exceed the trace budget of 2^24 amplitudes"
+    def test_sixteen_bit_trace_writes_kilobytes(self, capsys):
+        code, doc, _ = run_cli(capsys, "learn", "--secret", "1" * 16, "--trace")
+        assert code == 0
+        assert len(doc["trace"]) == 8
+        assert len(json.dumps(doc, indent=2)) < 64 * 1024
 
     def test_untraced_learn_has_no_dense_limit(self, capsys):
         code, doc, _ = run_cli(capsys, "learn", "--secret", "01" * 15)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +13,24 @@ from lcplearn import (
     build_round_circuit,
     certify_round,
     init_basis,
+    oracle_diagonal,
     q_shift,
     r_operator,
     run_quantum_learn,
 )
 from lcplearn import kernels, quantum, statevector
-from lcplearn.circuit import H, X
-from lcplearn.quantum import RoundTrace, _bits_to_int, _candidate_indices, _pair_round, _traced_round, q_value
+from lcplearn.circuit import H, X, gate_matrix
+from lcplearn.quantum import (
+    MAX_TRACE_N,
+    _bits_to_int,
+    _candidate_indices,
+    _check_round_trace,
+    _pair_round,
+    _traced_round,
+    q_value,
+)
+
+STAGES = ("superposed", "phased", "collapsed")
 
 
 def all_secrets(n):
@@ -26,20 +39,24 @@ def all_secrets(n):
 
 
 def _reference_round(state, rc, s, layout):
-    """One round gate by gate: H and X through Statevector.apply_gate, the
-    oracle through oracle.apply and R through kernels.apply_unitary, each
-    in place, with a copy of the state after every stage."""
+    """One round gate by gate on the dense state: H and X through
+    Statevector.apply_gate, the oracle as its whole diagonal through
+    kernels.apply_signs (one use on the oracle's ledger) and R through
+    kernels.apply_unitary, each in place, with a copy of the state after
+    every stage."""
     for q in rc.h_qubits:
         state.apply_gate(H(q))
     for q in rc.x_qubits:
         state.apply_gate(X(q))
     superposed = state.amps.copy()
-    rc.oracle.apply(state)
+    if rc.oracle.ledger is not None:
+        rc.oracle.ledger.count_quantum()
+    kernels.apply_signs(state.amps, oracle_diagonal(rc.oracle.secret, rc.oracle.t))
     phased = state.amps.copy()
-    kernels.apply_unitary(state.amps, state.num_qubits, rc.r_qubits, quantum._R_COMPLEX)
+    kernels.apply_unitary(state.amps, state.num_qubits, rc.r_qubits, r_operator().astype(complex))
     i = rc.index
     idxs, cands = _candidate_indices(s, i, layout.t)
-    return RoundTrace(
+    return SimpleNamespace(
         round_index=i,
         q_prev=q_value(i - 1),
         q_cur=q_value(i),
@@ -65,7 +82,7 @@ def _assert_same_round(got, want):
     assert got.round_index == want.round_index
     assert (got.q_prev, got.q_cur, got.prefix, got.candidates) == (want.q_prev, want.q_cur, want.prefix, want.candidates)
     assert got.alphas == want.alphas
-    for stage in ("superposed", "phased", "collapsed"):
+    for stage in STAGES:
         assert np.array_equal(getattr(got, stage), getattr(want, stage)), stage
 
 
@@ -163,9 +180,10 @@ class TestRoundCircuit:
     def test_one_round_writes_first_two_bits(self):
         layout = AlgorithmLayout.for_n(2)
         for s in all_secrets(2):
-            state = init_basis(3, 0)
-            _traced_round(state, build_round_circuit(1, layout, PhaseOracle(s, 1)), s, layout)
-            assert state.dominant_outcome() == f"{s}1"
+            rt = _traced_round({0: 1 + 0j}, build_round_circuit(1, layout, PhaseOracle(s, 1)), s, layout)
+            [(idx, amp)] = rt.supports["collapsed"].items()
+            assert format(idx, "03b") == f"{s}1"
+            assert abs(amp) == pytest.approx(1.0)
 
     def test_one_oracle_use_per_round(self):
         from lcplearn import QueryLedger
@@ -174,9 +192,9 @@ class TestRoundCircuit:
         layout = AlgorithmLayout.for_n(4)
         ledger = QueryLedger()
         oracle = PhaseOracle(s, layout.t, ledger)
-        state = init_basis(4 + layout.t, 0)
+        support = {0: 1 + 0j}
         for i in (1, 2):
-            _traced_round(state, build_round_circuit(i, layout, oracle), s, layout)
+            support = _traced_round(support, build_round_circuit(i, layout, oracle), s, layout).supports["collapsed"]
         assert ledger.quantum_oracle_uses == 2
 
     def test_round_index_validation(self):
@@ -186,7 +204,8 @@ class TestRoundCircuit:
 
 
 class TestAxisProducts:
-    """The dense round on the state's axes against the same round gate by gate."""
+    """The round on the state's support against the same round gate by
+    gate on the dense state: every dense view array-equal."""
 
     def test_traced_runs_equal_the_gate_by_gate_rounds(self):
         for s in _reference_secrets():
@@ -208,44 +227,58 @@ class TestAxisProducts:
                 _assert_same_round(certify_round(s, i), want)
 
     def test_stages_write_new_arrays_and_the_state_moves_on(self):
+        """Each stage keeps its own support, the input support is left as it
+        is, and every dense view is a fresh array."""
         s = SecretString.from_string("011010")
         layout = AlgorithmLayout.for_n(6)
-        state = init_basis(6 + layout.t, 0)
-        start = state.amps
-        rt = _traced_round(state, build_round_circuit(1, layout, PhaseOracle(s, layout.t)), s, layout)
-        arrays = (start, rt.superposed, rt.phased, rt.collapsed)
-        assert all(not np.shares_memory(a, b) for j, a in enumerate(arrays) for b in arrays[j + 1:])
-        assert state.amps is rt.collapsed
-        assert start[0] == 1.0 and np.count_nonzero(start) == 1
+        start = {0: 1 + 0j}
+        rt = _traced_round(start, build_round_circuit(1, layout, PhaseOracle(s, layout.t)), s, layout)
+        assert start == {0: 1 + 0j}
+        assert [len(rt.supports[stage]) for stage in STAGES] == [4, 4, 1]
+        assert all(list(rt.supports[stage]) == sorted(rt.supports[stage]) for stage in STAGES)
+        views = (rt.superposed, rt.phased, rt.collapsed, rt.collapsed)
+        assert all(not np.shares_memory(a, b) for j, a in enumerate(views) for b in views[j + 1:])
+        assert all(v.shape == (1 << (6 + layout.t),) for v in views)
 
 
-class TestTraceBudget:
-    """A traced run keeps 3 * rounds snapshots; together they may hold no
-    more amplitudes than one MAX_DENSE_QUBITS-qubit state."""
+class TestTraceBound:
+    """A traced run is limited to MAX_TRACE_N bits, checked before any round."""
 
-    @pytest.mark.parametrize("n, snapshots, width", [(16, 24, 20), (19, 27, 24)])
-    def test_over_the_budget_refused_before_any_state(self, monkeypatch, n, snapshots, width):
+    def test_over_the_bound_refused_before_any_round(self, monkeypatch):
+        def no_round(*args):
+            raise AssertionError("built a round for a refused trace")
+
+        monkeypatch.setattr(quantum, "build_round_circuit", no_round)
+        with pytest.raises(ValueError, match=rf"^a traced run is limited to {MAX_TRACE_N} bits, got {MAX_TRACE_N + 1}$"):
+            run_quantum_learn(SecretString.from_string("1" * (MAX_TRACE_N + 1)), trace=True)
+
+    @pytest.mark.parametrize("n", [16, 19])
+    def test_a_trace_past_the_old_dense_budget_succeeds(self, monkeypatch, n):
+        # 16 and 19 bits once exceeded a 2^24-amplitude snapshot budget;
+        # traced on supports, they need no dense state at all
         def no_state(*args):
-            raise AssertionError("allocated a state for a refused trace")
+            raise AssertionError("allocated a dense state for a traced run")
 
+        monkeypatch.setattr(statevector, "init_basis", no_state)
         monkeypatch.setattr(quantum, "init_basis", no_state)
-        with pytest.raises(ValueError, match=rf"^{snapshots} snapshots of 2\^{width} amplitudes exceed the trace budget"):
-            run_quantum_learn(SecretString.from_string("1" * n), trace=True)
+        s = SecretString.from_string("1" * n)
+        result = run_quantum_learn(s, trace=True)
+        assert result.recovered == s.bits
+        assert len(result.traces) == result.quantum_uses == n // 2
 
-    def test_fifteen_bits_pass_the_budget(self, monkeypatch):
-        widths = []
+    def test_a_secret_at_the_bound_is_traced_on_four_amplitudes(self):
+        rng = np.random.default_rng(MAX_TRACE_N)
+        s = SecretString(tuple(int(b) for b in rng.integers(0, 2, MAX_TRACE_N)))
+        result = run_quantum_learn(s, trace=True)
+        assert result.recovered == s.bits
+        assert len(result.traces) == result.quantum_uses == MAX_TRACE_N // 2
+        assert all([len(rt.supports[stage]) for stage in STAGES] == [4, 4, 1] for rt in result.traces)
 
-        class Reached(Exception):
-            pass
-
-        def spy(width, index):
-            widths.append(width)
-            raise Reached
-
-        monkeypatch.setattr(quantum, "init_basis", spy)
-        with pytest.raises(Reached):
-            run_quantum_learn(SecretString.from_string("1" * 15), trace=True)
-        assert widths == [19]
+    def test_a_dense_view_over_the_dense_limit_is_refused(self):
+        rt = run_quantum_learn(SecretString.from_string("10" * 11), trace=True).traces[0]
+        assert rt.width == 22 + 5
+        with pytest.raises(ValueError, match="dense simulation limit"):
+            rt.collapsed
 
 
 class TestRunQuantumLearn:
@@ -306,7 +339,7 @@ class TestRunQuantumLearn:
 
 
 class TestPairPath:
-    """The untraced learner runs each round on its pair; the dense trace is its reference."""
+    """The untraced learner runs each round on its pair; the traced run is its reference."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_dense_reference_exhaustively(self, n):
@@ -398,14 +431,46 @@ class TestCertifyRound:
         s = SecretString.from_string("0000")
         layout = AlgorithmLayout.for_n(4)
         rogue = PhaseOracle(SecretString.from_string("1111"), layout.t)
-        state = init_basis(4 + layout.t, 0)
-        rc = build_round_circuit(1, layout, rogue)
-        from lcplearn.quantum import _check_round_trace, _traced_round
-
-        trace = _traced_round(state, rc, s, layout)
+        trace = _traced_round({0: 1 + 0j}, build_round_circuit(1, layout, rogue), s, layout)
         with pytest.raises(CertificationError) as err:
             _check_round_trace(trace, s, layout)
         assert err.value.stage == "phase-pattern"
+
+    def test_h_with_a_flipped_sign_fails_the_superposition(self, monkeypatch):
+        flipped = gate_matrix(H(1)) * np.array([[1, 1], [-1, 1]])
+        monkeypatch.setattr(quantum, "gate_matrix", lambda gate: flipped)
+        with pytest.raises(CertificationError) as err:
+            certify_round(SecretString.from_string("0110"), 2)
+        assert err.value.stage == "superposition"
+
+    def test_r_with_a_flipped_sign_leaks_an_entry_and_fails_the_collapse(self, monkeypatch):
+        s = SecretString.from_string("0110")
+        layout = AlgorithmLayout.for_n(4)
+        flipped = r_operator()
+        flipped[0, 0] = 0.5
+        monkeypatch.setattr(quantum, "_R", flipped)
+        trace = _traced_round({0: 1 + 0j}, build_round_circuit(1, layout, PhaseOracle(s, layout.t)), s, layout)
+        assert len(trace.supports["collapsed"]) == 2
+        with pytest.raises(CertificationError) as err:
+            _check_round_trace(trace, s, layout)
+        assert err.value.stage == "basis-collapse"
+
+    def test_certifies_every_round_at_1024_bits_without_a_dense_state(self):
+        """At n = 16 one dense state is 16 MiB; at n = 1024 none could exist."""
+        rng = np.random.default_rng(1024)
+        for n in (16, 1024):
+            s = SecretString(tuple(int(b) for b in rng.integers(0, 2, n)))
+            tracemalloc.start()
+            try:
+                for i in range(1, n // 2 + 1):
+                    trace = certify_round(s, i)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, peak
+            assert len(trace.supports["collapsed"]) == 1
+        with pytest.raises(ValueError, match="dense simulation limit"):
+            trace.superposed
 
     def test_round_out_of_range(self):
         with pytest.raises(ValueError):
