@@ -30,7 +30,6 @@ from .quantum import (
     RoundTrace,
     build_round_circuit,
     certify_round,
-    q_shift,
     r_operator,
     run_quantum_learn,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "optimize",
     "oracle_diagonal",
     "parse",
-    "q_shift",
     "r_operator",
     "rewrite_to_device",
     "run_noisy",

@@ -148,14 +148,6 @@ class Circuit:
             kernels.apply_unitary(rows, self.width, g.qubits, gate_matrix(g))
         return rows.T
 
-    def remap(self, mapping: dict[int, int], width: int) -> "Circuit":
-        """Relabel qubits through `mapping` onto a register of `width`."""
-        gates = []
-        for g in self.gates:
-            qubits = tuple(mapping[q] for q in g.qubits)
-            gates.append(Gate(g.kind, qubits, g.theta))
-        return Circuit(width, gates)
-
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 

@@ -68,10 +68,6 @@ _PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-# the 15 non-identity two-qubit Paulis, choice c = 4 * a + b acting as
-# _PAULIS[a] on the control and _PAULIS[b] on the target
-_CX_ERRORS = tuple(np.kron(_PAULIS[c >> 2], _PAULIS[c & 3]) for c in range(1, 16))
-
 # Each of _PAULIS moves amplitude b ^ flip of its qubit to b and
 # multiplies it by phase[b], a unit 1, -1, i or -i.
 _PAULI_FLIPS = np.array([int(p[0, 0] == 0) for p in _PAULIS])
@@ -519,9 +515,15 @@ def exact_distribution(circuit: Circuit, profile: NoiseProfile) -> np.ndarray:
     for gate, p in zip(circuit.gates, site_prob):
         _conjugate(rho, width, gate.qubits, gate_matrix(gate))
         if p:
-            errors = _CX_ERRORS if gate.kind == "cx" else _PAULIS[1:]
-            mixed = sum(_conjugate(rho.copy(), width, gate.qubits, e) for e in errors)
-            rho = (1.0 - p) * rho + (p / len(errors)) * mixed
+            # a CX's fault c is _PAULIS[c >> 2] on the control then _PAULIS[c & 3] on the target
+            faults = [(c >> 2, c & 3) for c in range(1, 16)] if gate.kind == "cx" else [(1,), (2,), (3,)]
+            mixed = 0
+            for fault in faults:
+                faulty = rho.copy()
+                for q, c in zip(gate.qubits, fault):
+                    _conjugate(faulty, width, (q,), _PAULIS[c])
+                mixed = mixed + faulty
+            rho = (1.0 - p) * rho + (p / len(faults)) * mixed
     probs = rho[:: (1 << width) + 1].real.copy()
     for q, r in enumerate(profile.readout_error[:width]):
         pairs = probs.reshape(1 << q, 2, -1)

@@ -140,9 +140,8 @@ class PhaseOracle:
     one quantum oracle use on the ledger.
     """
 
-    def __init__(self, s: SecretString, t: int, ledger: QueryLedger | None = None):
+    def __init__(self, s: SecretString, ledger: QueryLedger | None = None):
         self.secret = s
-        self.t = t
         self.ledger = ledger
         self._secret_int = s.as_int()
 

@@ -5,7 +5,8 @@ candidate strings, moves the q register to 2i-1, applies the phase
 oracle (flipping the sign of exactly one candidate), then collapses the
 pair back to a basis state with the reflection operator R.  Even n needs
 n/2 rounds; odd n runs (n-1)/2 rounds and finishes with one classical
-query for the last bit; n=1 is a single classical query.
+query for the last bit; n=1 is a single classical query.  The learner
+and synth's circuit both place a round's gates from build_round_circuit.
 
 The state entering every round is a basis state, so a round only ever
 moves four amplitudes.  run_quantum_learn therefore computes each round
@@ -20,12 +21,11 @@ extra entry.  A RoundTrace builds a dense 2^(n+t) view of a stage only
 when it is read.  A traced run is limited to MAX_TRACE_N bits.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, H, X, gate_matrix
+from .circuit import H, gate_matrix
 from .oracle import PhaseOracle, Query, QueryLedger, SecretString, f
 # init_basis: read only by perfbench's tracer, which patches
 # quantum.init_basis; drop it with the next change to the benchmark.
@@ -47,28 +47,14 @@ class AlgorithmLayout:
     rounds: int
     uses_classical_tail: bool
 
-    @property
-    def parity(self) -> str:
-        return "even" if self.n % 2 == 0 else "odd"
-
-    @property
-    def total_queries(self) -> int:
-        return self.rounds + (1 if self.uses_classical_tail else 0)
-
     @classmethod
     def for_n(cls, n: int) -> "AlgorithmLayout":
+        """n // 2 rounds, a q register just wide enough for the last round's
+        threshold (none without a round), and a classical query for odd n."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n == 1:
-            return cls(n=1, t=0, rounds=0, uses_classical_tail=True)
-        if n % 2 == 0:
-            return cls(n=n, t=math.ceil(math.log2(n)), rounds=n // 2, uses_classical_tail=False)
-        return cls(
-            n=n,
-            t=math.ceil(math.log2(n - 1)),
-            rounds=(n - 1) // 2,
-            uses_classical_tail=True,
-        )
+        rounds = n // 2
+        return cls(n=n, t=q_value(rounds).bit_length(), rounds=rounds, uses_classical_tail=n % 2 == 1)
 
 
 def r_operator() -> np.ndarray:
@@ -87,43 +73,24 @@ def q_value(i: int) -> int:
     return 0 if i == 0 else 2 * i - 1
 
 
-def _q_flips(i: int, t: int) -> list[int]:
-    """Qubits 1..t of the q register that flip from its round-(i-1) to round-i value."""
-    if i < 1:
-        raise ValueError("rounds are numbered from 1")
-    prev, cur = q_value(i - 1), q_value(i)
-    if cur >= (1 << t):
-        raise ValueError(f"round {i} does not fit a {t}-qubit q register")
-    return [j for j in range(1, t + 1) if ((prev ^ cur) >> (t - j)) & 1]
-
-
-def q_shift(i: int, t: int) -> Circuit:
-    """X gates flipping the q register from its round-(i-1) to round-i value."""
-    return Circuit(t, [X(j) for j in _q_flips(i, t)])
-
-
 @dataclass(frozen=True)
 class RoundCircuit:
-    """One learner round: H pair, q-register shift, oracle, reflection."""
+    """Where round `index`'s gates sit in the (n+t)-qubit register: H on each
+    qubit of `pair`, X on `x_qubits` (the q register from q_value(index - 1)
+    to q_value(index)), the oracle, then R on `pair` with its high bit first."""
 
     index: int
-    h_qubits: tuple[int, int]
-    x_qubits: tuple[int, ...]  # absolute indices in the (n+t)-qubit register
-    r_qubits: tuple[int, int]
-    oracle: PhaseOracle
+    pair: tuple[int, int]
+    x_qubits: tuple[int, ...]
 
 
-def build_round_circuit(i: int, layout: AlgorithmLayout, oracle: PhaseOracle) -> RoundCircuit:
+def build_round_circuit(i: int, layout: AlgorithmLayout) -> RoundCircuit:
     if not 1 <= i <= layout.rounds:
         raise ValueError(f"round {i} out of range 1..{layout.rounds}")
     n, t = layout.n, layout.t
-    return RoundCircuit(
-        index=i,
-        h_qubits=(2 * i - 1, 2 * i),
-        x_qubits=tuple(n + j for j in _q_flips(i, t)),
-        r_qubits=(2 * i - 1, 2 * i),
-        oracle=oracle,
-    )
+    flips = q_value(i - 1) ^ q_value(i)
+    x_qubits = tuple(n + j for j in range(1, t + 1) if (flips >> (t - j)) & 1)
+    return RoundCircuit(index=i, pair=(2 * i - 1, 2 * i), x_qubits=x_qubits)
 
 
 @dataclass
@@ -203,7 +170,9 @@ def _apply(support: Support, width: int, qubits: tuple, u: list) -> Support:
     return {idx: amp for idx, amp in sorted(out.items()) if amp != 0}
 
 
-def _traced_round(support: Support, rc: RoundCircuit, s: SecretString, layout: AlgorithmLayout) -> RoundTrace:
+def _traced_round(
+    support: Support, rc: RoundCircuit, oracle: PhaseOracle, s: SecretString, layout: AlgorithmLayout
+) -> RoundTrace:
     """Apply one round to a support, keeping the support after each stage.
 
     Only the q shift touches the q register, so it holds one basis value
@@ -212,17 +181,17 @@ def _traced_round(support: Support, rc: RoundCircuit, s: SecretString, layout: A
     """
     i, t = rc.index, layout.t
     width = s.n + t
-    for q in rc.h_qubits:
+    for q in rc.pair:
         support = _apply(support, width, (q,), gate_matrix(H(q)).tolist())
     mask = sum(1 << (width - q) for q in rc.x_qubits)
     superposed = dict(sorted((idx ^ mask, amp) for idx, amp in support.items()))
 
     (q_reg,) = {idx & ((1 << t) - 1) for idx in superposed}
     amps = np.array(list(superposed.values()), dtype=np.complex128)
-    rc.oracle.apply_pair(amps, [idx >> t for idx in superposed], q_reg)
+    oracle.apply_pair(amps, [idx >> t for idx in superposed], q_reg)
     phased = dict(zip(superposed, amps.tolist()))
 
-    collapsed = _apply(phased, width, rc.r_qubits, _R.tolist())
+    collapsed = _apply(phased, width, rc.pair, _R.tolist())
 
     idxs, cands = _candidate_indices(s, i, t)
     return RoundTrace(
@@ -255,7 +224,7 @@ def _check_round_trace(trace: RoundTrace, s: SecretString, layout: AlgorithmLayo
             raise CertificationError(stage, f"round {i} {failure}")
 
 
-def _pair_round(rc: RoundCircuit, prefix: int, n: int) -> int:
+def _pair_round(rc: RoundCircuit, oracle: PhaseOracle, prefix: int, n: int) -> int:
     """Run round rc.index on the four amplitudes of its pair.
 
     `prefix` holds the 2i-2 bits recovered so far.  Amplitude k stands for
@@ -267,7 +236,7 @@ def _pair_round(rc: RoundCircuit, prefix: int, n: int) -> int:
     shift = n - 2 * rc.index
     candidates = [((prefix << 2) | k) << shift for k in range(4)]
     amps = np.array((0.5, 0.5, 0.5, 0.5))  # (H x H)|00>
-    rc.oracle.apply_pair(amps, candidates, q_value(rc.index))
+    oracle.apply_pair(amps, candidates, q_value(rc.index))
     amps = (_R @ amps).tolist()
     k = max(range(4), key=lambda j: abs(amps[j]))
     if amps[k] * amps[k] < 1.0 - AMP_TOL:
@@ -302,11 +271,11 @@ def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:
     x_bits = (0,) * n
 
     if layout.rounds > 0:
-        oracle = PhaseOracle(s, layout.t, ledger)
+        oracle = PhaseOracle(s, ledger)
         if trace:
             support: Support = {0: 1 + 0j}
             for i in range(1, layout.rounds + 1):
-                traces.append(_traced_round(support, build_round_circuit(i, layout, oracle), s, layout))
+                traces.append(_traced_round(support, build_round_circuit(i, layout), oracle, s, layout))
                 support = traces[-1].supports["collapsed"]
             idx, amp = max(support.items(), key=lambda entry: abs(entry[1]), default=(0, 0j))
             if abs(amp) ** 2 < 1.0 - AMP_TOL:
@@ -315,7 +284,7 @@ def run_quantum_learn(s: SecretString, trace: bool = False) -> QuantumRunResult:
         else:
             prefix = 0
             for i in range(1, layout.rounds + 1):
-                prefix = (prefix << 2) | _pair_round(build_round_circuit(i, layout, oracle), prefix, n)
+                prefix = (prefix << 2) | _pair_round(build_round_circuit(i, layout), oracle, prefix, n)
             width = 2 * layout.rounds
             x_bits = tuple(int(c) for c in format(prefix, f"0{width}b")) + x_bits[width:]
 
@@ -337,11 +306,9 @@ def certify_round(s: SecretString, i: int) -> RoundTrace:
     phase-pattern, or basis-collapse).
     """
     layout = AlgorithmLayout.for_n(s.n)
-    if not 1 <= i <= layout.rounds:
-        raise ValueError(f"round {i} out of range 1..{layout.rounds}")
-    n, t = s.n, layout.t
-    prefix_bits = s.bits[: 2 * i - 2] + (0,) * (n - (2 * i - 2))
-    start = {(_bits_to_int(prefix_bits) << t) | q_value(i - 1): 1 + 0j}
-    trace = _traced_round(start, build_round_circuit(i, layout, PhaseOracle(s, t)), s, layout)
+    rc = build_round_circuit(i, layout)  # refuses i outside 1..rounds
+    prefix_bits = s.bits[: 2 * i - 2] + (0,) * (s.n - (2 * i - 2))
+    start = {(_bits_to_int(prefix_bits) << layout.t) | q_value(i - 1): 1 + 0j}
+    trace = _traced_round(start, rc, PhaseOracle(s), s, layout)
     _check_round_trace(trace, s, layout)
     return trace

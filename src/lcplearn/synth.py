@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import CX, H, RZ, X, Z, Circuit, Gate
 from .oracle import SecretString, oracle_diagonal
-from .quantum import AlgorithmLayout, q_shift
+from .quantum import AlgorithmLayout, build_round_circuit
 
 COEFF_TOL = 1e-12
 MAX_SYNTH_QUBITS = 12
@@ -119,18 +119,23 @@ def synth_diagonal(signs: np.ndarray) -> Circuit:
     return Circuit(spectrum.width, gates)
 
 
+def _r_gates(a: int, b: int) -> list[Gate]:
+    """The round reflection R on qubits a, b, with a as R's high bit."""
+    return [H(a), CX(a, b), Z(a), X(b), H(a)]
+
+
 def synth_R() -> Circuit:
     """Gate realization of the round reflection on two qubits."""
-    return Circuit(2, [H(1), CX(1, 2), Z(1), X(2), H(1)])
+    return Circuit(2, _r_gates(1, 2))
 
 
 def build_full_circuit(s: SecretString) -> Circuit:
     """The complete pre-transpilation learner circuit for secret s.
 
-    Per round: the H pair, the q-register X mask,
-    the synthesized oracle, and the reflection block.  For odd n the
-    last secret bit still needs the one-query classical fix-up after
-    measuring; the circuit covers the quantum part only.
+    Each round, placed by `build_round_circuit` as the learner places it,
+    is H on its pair, X on its q-register qubits, the synthesized oracle,
+    then R's gates on its pair.  For odd n the last bit still needs the
+    one-query classical fix-up after measuring; the circuit omits it.
     """
     return _build(s)[0]
 
@@ -140,18 +145,15 @@ def _build(s: SecretString) -> tuple[Circuit, Circuit]:
     if s.n < 2:
         raise ValueError("circuit construction needs n >= 2")
     layout = AlgorithmLayout.for_n(s.n)
-    n, t = s.n, layout.t
-    width = n + t
+    width = s.n + layout.t
     _check_synth_width(width)
-    oracle = synth_diagonal(oracle_diagonal(s, t))
+    oracle = synth_diagonal(oracle_diagonal(s, layout.t))
 
     gates: list[Gate] = []
     for i in range(1, layout.rounds + 1):
-        gates.extend((H(2 * i - 1), H(2 * i)))
-        shift = q_shift(i, t)
-        gates.extend(shift.remap({j: n + j for j in range(1, t + 1)}, width).gates)
+        rc = build_round_circuit(i, layout)
+        gates.extend(H(q) for q in rc.pair)
+        gates.extend(X(q) for q in rc.x_qubits)
         gates.extend(oracle.gates)
-        gates.extend(
-            synth_R().remap({1: 2 * i - 1, 2: 2 * i}, width).gates
-        )
+        gates.extend(_r_gates(*rc.pair))
     return Circuit(width, gates), oracle

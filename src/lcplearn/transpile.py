@@ -248,7 +248,9 @@ def _cancel_cx(gates: list[Gate]) -> bool:
 
     A gate commutes with CX(c, t) when it acts diagonally on c (Z, RZ, a
     CX's control) and as a function of X on t (X, SX, a CX's target);
-    any other gate on c or t (H included) blocks it.
+    any other gate on c or t (H included) blocks it.  A cancellation steps
+    back to the last CX before the pair, which the pair may have blocked,
+    so a word followed by its mirror image cancels in one sweep.
     """
     changed = False
     i = 0
@@ -267,6 +269,7 @@ def _cancel_cx(gates: list[Gate]) -> bool:
                     del gates[j]
                     del gates[i]
                     changed = cancelled = True
+                    i = next((k for k in range(i - 1, -1, -1) if gates[k].kind == "cx"), 0)
                     break
                 if c2 == t or t2 == c:
                     break

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 
@@ -50,9 +51,24 @@ def test_dense_learner_paths_are_gone():
     the dense oracle application, its cached diagonal, the dense phase
     multiply and the dense round's matrices are deleted."""
     quantum = importlib.import_module("lcplearn.quantum")
-    oracle = lcplearn.PhaseOracle(lcplearn.SecretString.from_string("01"), 1)
+    oracle = lcplearn.PhaseOracle(lcplearn.SecretString.from_string("01"))
     for name in ("apply", "signs", "_signs"):
         assert not hasattr(oracle, name), name
     assert not hasattr(lcplearn.Statevector, "apply_phase_diagonal")
     for name in ("_H_COMPLEX", "_R_COMPLEX", "_max_deviation", "Statevector"):
         assert not hasattr(quantum, name), name
+
+
+def test_one_round_placement():
+    """`build_round_circuit` is the one record of where a round's gates sit:
+    the q-shift circuit and the relabelling synth built from it, the
+    round's oracle field, the layout properties only tests read and the
+    oracle's unread register width are deleted."""
+    quantum = importlib.import_module("lcplearn.quantum")
+    assert "q_shift" not in lcplearn.__all__ and not hasattr(lcplearn, "q_shift")
+    assert not hasattr(quantum, "q_shift")
+    assert not hasattr(lcplearn.Circuit, "remap")
+    for name in ("parity", "total_queries"):
+        assert not hasattr(lcplearn.AlgorithmLayout, name), name
+    assert "oracle" not in {f.name for f in dataclasses.fields(quantum.RoundCircuit)}
+    assert list(inspect.signature(lcplearn.PhaseOracle).parameters) == ["s", "ledger"]

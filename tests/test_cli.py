@@ -1,9 +1,12 @@
+import importlib
 import json
 
 import pytest
 
 from lcplearn import CouplingGraph, parse, synth
 from lcplearn.cli import main
+
+transpile_module = importlib.import_module("lcplearn.transpile")
 
 
 def run_cli(capsys, *argv):
@@ -240,28 +243,31 @@ class TestTranspile:
     @staticmethod
     def cancellable_word(tmp_path, depth):
         """`depth` CXs alternating between q[0],q[1] and q[1],q[2], then their
-        mirror image: the identity, which the peephole fixed point reaches
-        in depth / 2 + 1 sweeps."""
+        mirror image: the identity, which the peephole pass cancels in one
+        sweep and confirms in a second."""
         word = ["cx q[0],q[1];", "cx q[1],q[2];"] * (depth // 2)
         path = tmp_path / f"word{depth}.qasm"
         path.write_text("\n".join(["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[3];", *word, *word[::-1]]) + "\n")
         return path
 
     def test_cancellable_word_within_the_sweep_cap_compiles_to_nothing(self, capsys, tmp_path):
-        path = self.cancellable_word(tmp_path, 60)  # 120 gates
-        code, doc, _ = run_cli(capsys, "transpile", "--in", str(path), "--target", "linear3", "--mapping", "0,1,2")
-        assert code == 0
-        assert sum(doc["report"]["stages"][-1]["counts"].values()) == 0
-        assert doc["report"]["sweeps"] == 31
+        for depth in (60, 120, 600):  # 2 * depth gates
+            path = self.cancellable_word(tmp_path, depth)
+            code, doc, _ = run_cli(capsys, "transpile", "--in", str(path), "--target", "linear3", "--mapping", "0,1,2")
+            assert code == 0
+            assert sum(doc["report"]["stages"][-1]["counts"].values()) == 0
+            assert doc["report"]["sweeps"] == 2
 
-    def test_word_past_the_sweep_cap_is_refused(self, capsys, tmp_path):
+    def test_word_past_the_sweep_cap_is_refused(self, capsys, tmp_path, monkeypatch):
+        # the word needs 2 sweeps; a cap of 1 refuses it
+        monkeypatch.setattr(transpile_module, "MAX_SWEEPS", 1)
         path = self.cancellable_word(tmp_path, 120)  # 240 gates
         with pytest.raises(SystemExit) as err:
             main(["transpile", "--in", str(path), "--target", "linear3", "--mapping", "0,1,2"])
         captured = capsys.readouterr()
         assert err.value.code == 2
         assert captured.out == ""
-        assert "MAX_SWEEPS = 50" in captured.err and "Traceback" not in captured.err
+        assert "MAX_SWEEPS = 1" in captured.err and "Traceback" not in captured.err
 
     def test_unwritable_out_fails_cleanly(self, capsys, circuit_file, tmp_path):
         code = main([
@@ -286,7 +292,7 @@ class TestTranspile:
         assert line == "transpile: mapping targets nonexistent physical qubits"
 
     REFUSALS = {
-        "sweep-cap": "needs more than MAX_SWEEPS = 50 sweeps",
+        "sweep-cap": "needs more than MAX_SWEEPS = 1 sweeps",
         "mapping-width": "mapping width does not match circuit width",
         "mapping-off-device": "mapping targets nonexistent physical qubits",
         "search-limit": "pass an explicit mapping",
@@ -296,9 +302,11 @@ class TestTranspile:
     }
 
     @pytest.mark.parametrize("case", list(REFUSALS))
-    def test_refusal_is_one_stderr_line(self, capsys, circuit_file, tmp_path, case):
+    def test_refusal_is_one_stderr_line(self, capsys, circuit_file, tmp_path, monkeypatch, case):
         """Every refusal after parsing prints one `transpile: ...` line to
-        stderr, nothing to stdout, and exits 2, with no usage line."""
+        stderr, nothing to stdout, and exits 2, with no usage line.  The
+        sweep cap is lowered to 1, below the 2 sweeps a mirror word needs."""
+        monkeypatch.setattr(transpile_module, "MAX_SWEEPS", 1)
         line27 = tmp_path / "line27.json"
         line27.write_text(json.dumps({"qubits": 27, "edges": [[i, i + 1] for i in range(26)]}))
         on_quito = ["--in", str(circuit_file), "--target", "quito", "--mapping"]

@@ -119,7 +119,7 @@ class TestOracleDiagonal:
 
 def test_phase_oracle_counts_uses_per_application():
     ledger = QueryLedger()
-    oracle = PhaseOracle(SecretString.from_string("01"), 1, ledger)
+    oracle = PhaseOracle(SecretString.from_string("01"), ledger)
     assert ledger.quantum_oracle_uses == 0  # construction is free
     amps = np.full(4, 0.5)
     oracle.apply_pair(amps, [0b00, 0b01, 0b10, 0b11], 1)
@@ -143,7 +143,7 @@ def test_apply_pair_flips_exactly_the_matching_candidates(secret, monkeypatch):
     s = SecretString.from_string(secret)
     n = s.n
     ledger = QueryLedger()
-    oracle = PhaseOracle(s, 3, ledger)
+    oracle = PhaseOracle(s, ledger)
     uses = 0
     for q in range(n):
         for start in range(0, 1 << n, 4):

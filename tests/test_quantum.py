@@ -14,7 +14,6 @@ from lcplearn import (
     certify_round,
     init_basis,
     oracle_diagonal,
-    q_shift,
     r_operator,
     run_quantum_learn,
 )
@@ -38,22 +37,22 @@ def all_secrets(n):
         yield SecretString(tuple((value >> (n - 1 - j)) & 1 for j in range(n)))
 
 
-def _reference_round(state, rc, s, layout):
+def _reference_round(state, rc, oracle, s, layout):
     """One round gate by gate on the dense state: H and X through
     Statevector.apply_gate, the oracle as its whole diagonal through
     kernels.apply_signs (one use on the oracle's ledger) and R through
     kernels.apply_unitary, each in place, with a copy of the state after
     every stage."""
-    for q in rc.h_qubits:
+    for q in rc.pair:
         state.apply_gate(H(q))
     for q in rc.x_qubits:
         state.apply_gate(X(q))
     superposed = state.amps.copy()
-    if rc.oracle.ledger is not None:
-        rc.oracle.ledger.count_quantum()
-    kernels.apply_signs(state.amps, oracle_diagonal(rc.oracle.secret, rc.oracle.t))
+    if oracle.ledger is not None:
+        oracle.ledger.count_quantum()
+    kernels.apply_signs(state.amps, oracle_diagonal(oracle.secret, layout.t))
     phased = state.amps.copy()
-    kernels.apply_unitary(state.amps, state.num_qubits, rc.r_qubits, r_operator().astype(complex))
+    kernels.apply_unitary(state.amps, state.num_qubits, rc.pair, r_operator().astype(complex))
     i = rc.index
     idxs, cands = _candidate_indices(s, i, layout.t)
     return SimpleNamespace(
@@ -113,24 +112,22 @@ class TestReflection:
 
 
 class TestQShift:
+    """The X gates of a round flip the q register, qubits n+1..n+t, from
+    q_value(i - 1) to q_value(i)."""
+
     def test_first_round_single_x(self):
-        assert q_shift(1, 1).gates == (X(1),)
+        assert build_round_circuit(1, AlgorithmLayout.for_n(2)).x_qubits == (3,)
 
     def test_second_round_flips_high_bit(self):
         # 01 -> 11: only the most significant q bit changes
-        assert q_shift(2, 2).gates == (X(1),)
+        assert build_round_circuit(2, AlgorithmLayout.for_n(4)).x_qubits == (5,)
 
     def test_third_round_mask(self):
         # 3 ^ 5 = 0b110: the two most significant bits of a 3-bit register
-        gates = q_shift(3, 3).gates
-        assert gates == (X(1), X(2))
+        assert build_round_circuit(3, AlgorithmLayout.for_n(6)).x_qubits == (7, 8)
 
     def test_shift_values_chain_to_odd_thresholds(self):
         assert [q_value(i) for i in range(5)] == [0, 1, 3, 5, 7]
-
-    def test_round_too_wide(self):
-        with pytest.raises(ValueError):
-            q_shift(2, 1)
 
 
 class TestLayout:
@@ -151,17 +148,23 @@ class TestLayout:
     def test_register_and_round_table(self, n, t, rounds, tail):
         layout = AlgorithmLayout.for_n(n)
         assert (layout.t, layout.rounds, layout.uses_classical_tail) == (t, rounds, tail)
-        assert layout.total_queries == math.ceil(n / 2)
+        assert layout.rounds + layout.uses_classical_tail == math.ceil(n / 2)
+
+    def test_register_width_is_the_ceil_log2_of_the_largest_even_n(self):
+        """t is the smallest width with 2^t >= 2 * rounds: ceil(log2(n))
+        for even n and ceil(log2(n - 1)) for odd n > 1."""
+        for n in range(1, (1 << 16) + 1):
+            even, t = n - n % 2, 0
+            while (1 << t) < even:
+                t += 1
+            layout = AlgorithmLayout.for_n(n)
+            assert (layout.t, layout.rounds, layout.uses_classical_tail) == (t, n // 2, n % 2 == 1), n
 
     def test_thresholds_fit_register(self):
         for n in range(2, 40):
             layout = AlgorithmLayout.for_n(n)
             if layout.rounds:
                 assert q_value(layout.rounds) < (1 << layout.t)
-
-    def test_parity_label(self):
-        assert AlgorithmLayout.for_n(4).parity == "even"
-        assert AlgorithmLayout.for_n(5).parity == "odd"
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
@@ -172,15 +175,14 @@ class TestRoundCircuit:
     def test_structure_for_two_bits(self):
         s = SecretString.from_string("00")
         layout = AlgorithmLayout.for_n(2)
-        rc = build_round_circuit(1, layout, PhaseOracle(s, layout.t))
-        assert rc.h_qubits == (1, 2)
+        rc = build_round_circuit(1, layout)
+        assert rc.pair == (1, 2)
         assert rc.x_qubits == (3,)  # q register qubit, 0 -> 1
-        assert rc.r_qubits == (1, 2)
 
     def test_one_round_writes_first_two_bits(self):
         layout = AlgorithmLayout.for_n(2)
         for s in all_secrets(2):
-            rt = _traced_round({0: 1 + 0j}, build_round_circuit(1, layout, PhaseOracle(s, 1)), s, layout)
+            rt = _traced_round({0: 1 + 0j}, build_round_circuit(1, layout), PhaseOracle(s), s, layout)
             [(idx, amp)] = rt.supports["collapsed"].items()
             assert format(idx, "03b") == f"{s}1"
             assert abs(amp) == pytest.approx(1.0)
@@ -191,16 +193,16 @@ class TestRoundCircuit:
         s = SecretString.from_string("0110")
         layout = AlgorithmLayout.for_n(4)
         ledger = QueryLedger()
-        oracle = PhaseOracle(s, layout.t, ledger)
+        oracle = PhaseOracle(s, ledger)
         support = {0: 1 + 0j}
         for i in (1, 2):
-            support = _traced_round(support, build_round_circuit(i, layout, oracle), s, layout).supports["collapsed"]
+            support = _traced_round(support, build_round_circuit(i, layout), oracle, s, layout).supports["collapsed"]
         assert ledger.quantum_oracle_uses == 2
 
     def test_round_index_validation(self):
         layout = AlgorithmLayout.for_n(4)
         with pytest.raises(ValueError):
-            build_round_circuit(3, layout, PhaseOracle(SecretString.from_string("0000"), 2))
+            build_round_circuit(3, layout)
 
 
 class TestAxisProducts:
@@ -212,18 +214,18 @@ class TestAxisProducts:
             layout = AlgorithmLayout.for_n(s.n)
             traces = run_quantum_learn(s, trace=True).traces
             assert len(traces) == layout.rounds
-            state, oracle = init_basis(s.n + layout.t, 0), PhaseOracle(s, layout.t)
+            state, oracle = init_basis(s.n + layout.t, 0), PhaseOracle(s)
             for i, got in enumerate(traces, start=1):
-                _assert_same_round(got, _reference_round(state, build_round_circuit(i, layout, oracle), s, layout))
+                _assert_same_round(got, _reference_round(state, build_round_circuit(i, layout), oracle, s, layout))
 
     def test_certified_rounds_equal_the_gate_by_gate_rounds(self):
         for s in _reference_secrets():
             n, layout = s.n, AlgorithmLayout.for_n(s.n)
-            oracle = PhaseOracle(s, layout.t)
+            oracle = PhaseOracle(s)
             for i in range(1, layout.rounds + 1):
                 prefix = _bits_to_int(s.bits[: 2 * i - 2] + (0,) * (n - 2 * i + 2))
                 state = init_basis(n + layout.t, (prefix << layout.t) | q_value(i - 1))
-                want = _reference_round(state, build_round_circuit(i, layout, oracle), s, layout)
+                want = _reference_round(state, build_round_circuit(i, layout), oracle, s, layout)
                 _assert_same_round(certify_round(s, i), want)
 
     def test_stages_write_new_arrays_and_the_state_moves_on(self):
@@ -232,7 +234,7 @@ class TestAxisProducts:
         s = SecretString.from_string("011010")
         layout = AlgorithmLayout.for_n(6)
         start = {0: 1 + 0j}
-        rt = _traced_round(start, build_round_circuit(1, layout, PhaseOracle(s, layout.t)), s, layout)
+        rt = _traced_round(start, build_round_circuit(1, layout), PhaseOracle(s), s, layout)
         assert start == {0: 1 + 0j}
         assert [len(rt.supports[stage]) for stage in STAGES] == [4, 4, 1]
         assert all(list(rt.supports[stage]) == sorted(rt.supports[stage]) for stage in STAGES)
@@ -349,11 +351,11 @@ class TestPairPath:
             dense = run_quantum_learn(s, trace=True)
             assert pair.recovered == dense.recovered == s.bits
             assert (pair.quantum_uses, pair.classical_queries) == (dense.quantum_uses, dense.classical_queries)
-            oracle = PhaseOracle(s, layout.t)
+            oracle = PhaseOracle(s)
             prefix = 0
             for rt in dense.traces:
                 i = rt.round_index
-                prefix = (prefix << 2) | _pair_round(build_round_circuit(i, layout, oracle), prefix, n)
+                prefix = (prefix << 2) | _pair_round(build_round_circuit(i, layout), oracle, prefix, n)
                 dense_x = int(np.argmax(np.abs(rt.collapsed))) >> layout.t
                 assert dense_x == prefix << (n - 2 * i)
 
@@ -393,9 +395,8 @@ class TestPairPath:
         monkeypatch.setattr(PhaseOracle, "apply_pair", flip_two)
         s = SecretString.from_string("0110")
         layout = AlgorithmLayout.for_n(4)
-        rc = build_round_circuit(1, layout, PhaseOracle(s, layout.t))
         with pytest.raises(RuntimeError, match="not exact"):
-            _pair_round(rc, 0, 4)
+            _pair_round(build_round_circuit(1, layout), PhaseOracle(s), 0, 4)
 
     @pytest.mark.parametrize("n", [1000, 1001, 10_001])
     def test_learns_secrets_far_past_the_dense_limit(self, n):
@@ -430,8 +431,8 @@ class TestCertifyRound:
         """Certifying against a different secret's oracle must fail loudly."""
         s = SecretString.from_string("0000")
         layout = AlgorithmLayout.for_n(4)
-        rogue = PhaseOracle(SecretString.from_string("1111"), layout.t)
-        trace = _traced_round({0: 1 + 0j}, build_round_circuit(1, layout, rogue), s, layout)
+        rogue = PhaseOracle(SecretString.from_string("1111"))
+        trace = _traced_round({0: 1 + 0j}, build_round_circuit(1, layout), rogue, s, layout)
         with pytest.raises(CertificationError) as err:
             _check_round_trace(trace, s, layout)
         assert err.value.stage == "phase-pattern"
@@ -449,7 +450,7 @@ class TestCertifyRound:
         flipped = r_operator()
         flipped[0, 0] = 0.5
         monkeypatch.setattr(quantum, "_R", flipped)
-        trace = _traced_round({0: 1 + 0j}, build_round_circuit(1, layout, PhaseOracle(s, layout.t)), s, layout)
+        trace = _traced_round({0: 1 + 0j}, build_round_circuit(1, layout), PhaseOracle(s), s, layout)
         assert len(trace.supports["collapsed"]) == 2
         with pytest.raises(CertificationError) as err:
             _check_round_trace(trace, s, layout)

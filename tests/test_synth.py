@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from lcplearn import (
     CX,
+    AlgorithmLayout,
     H,
     SX,
     X,
@@ -15,11 +17,13 @@ from lcplearn import (
     Circuit,
     SecretString,
     build_full_circuit,
+    build_round_circuit,
     init_basis,
     oracle_diagonal,
     r_operator,
     rewrite_to_device,
     run_quantum_learn,
+    serialize,
     simulate,
     synth_R,
     synth_diagonal,
@@ -224,6 +228,38 @@ class TestFullCircuit:
         assert kinds[-5:] == ["h", "cx", "z", "x", "h"]  # reflection block
         counts = circuit.gate_counts()
         assert counts["cx"] == 6 + 1 and counts["rz"] == 7
+
+    def test_each_round_is_placed_by_build_round_circuit(self):
+        """Round i's block is H on its pair, X on its q-register qubits, the
+        synthesized oracle block, then R's five gates on its pair; the
+        rounds follow one another with nothing else between, for n = 2..8."""
+        rng = np.random.default_rng(22)
+        for n in range(2, 9):
+            layout = AlgorithmLayout.for_n(n)
+            if n <= 5:
+                secrets = list(all_secrets(n))
+            else:
+                secrets = [SecretString(tuple(int(b) for b in rng.integers(0, 2, n))) for _ in range(4)]
+            for s in secrets:
+                circuit, oracle = synth._build(s)
+                gates = list(circuit.gates)
+                for i in range(1, layout.rounds + 1):
+                    rc = build_round_circuit(i, layout)
+                    a, b = rc.pair
+                    block = [H(a), H(b), *(X(q) for q in rc.x_qubits), *oracle.gates]
+                    block += [H(a), CX(a, b), Z(a), X(b), H(a)]
+                    assert gates[: len(block)] == block, (str(s), i)
+                    del gates[: len(block)]
+                assert gates == []
+
+    def test_circuits_are_pinned_by_digest(self):
+        """SHA-256 of the serialized circuits of every secret n = 2..6, in
+        order of n and then of the secret's value."""
+        digest = hashlib.sha256()
+        for n in range(2, 7):
+            for s in all_secrets(n):
+                digest.update(serialize(build_full_circuit(s)).encode())
+        assert digest.hexdigest() == "063338621808380c7f6c3dc9147647e07054bfb170d38e52be34ef5c9a3ad822"
 
     def test_three_bit_width(self):
         circuit = build_full_circuit(SecretString.from_string("000"))

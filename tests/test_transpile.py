@@ -383,6 +383,10 @@ def reference_cancel_cx(gates):
                 del gates[j]
                 del gates[i]
                 changed = cancelled = True
+                # resume at the last CX before the deleted pair
+                while i > 0 and gates[i - 1].kind != "cx":
+                    i -= 1
+                i = max(i - 1, 0)
                 break
             if not reference_commutes(g, other):
                 break
