@@ -145,7 +145,7 @@ class Circuit:
             raise ValueError("unitary extraction limited to width <= 12")
         rows = np.eye(1 << self.width, dtype=complex)
         for g in self.gates:
-            kernels.apply_unitary(rows, self.width, g.qubits, gate_matrix(g))
+            apply_gate(rows, self.width, g)
         return rows.T
 
 
@@ -179,6 +179,20 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == "rz":
         return rz_matrix(gate.theta)
     return _MAT_CX
+
+
+# The gates that permute amplitudes: their matrices hold only 0s and 1s.
+PERMUTATION_KINDS = ("x", "cx")
+
+
+def apply_gate(amps: np.ndarray, width: int, gate: Gate) -> None:
+    """Apply `gate` to every 2^width-amplitude row of `amps`, in place: X
+    and CX as the swap `kernels.apply_flip`, every other gate as its
+    matrix through `kernels.apply_unitary`."""
+    if gate.kind in PERMUTATION_KINDS:
+        kernels.apply_flip(amps, width, gate.qubits)
+    else:
+        kernels.apply_unitary(amps, width, gate.qubits, gate_matrix(gate))
 
 
 class ParseError(ValueError):

@@ -26,20 +26,24 @@ they are drawn: a fire draw becomes a row of booleans, a readout draw a
 bit of a flip mask, and only the measurement draw and the few Pauli
 draws of the fired rows are kept as floats.
 At zero noise that is one value a shot, and an 8192-shot trial of a
-quito demo circuit takes 1.4–2.2 ms (2-core Xeon VM, median over the
-12 demo secrets); under the quito profile it takes 9.8–11.8 ms.
+quito demo circuit takes 0.8–1.4 ms (2-core Xeon VM, median over the
+12 demo secrets, three runs); under the quito profile it takes
+7.5–10.2 ms.
 
 The replay never runs a circuit per shot.  It simulates the noiseless
 circuit once per call; a shot in which no error fired samples its
 distribution.  A shot with errors is keyed by its fault pattern, the
 Pauli chosen at each fired gate, and each pattern is resimulated once
 per call.  The patterns first seen in a block are resimulated together
-as one (patterns, 2^width) state array that starts as |0...0> in every
-row: each gate is one kernel call on all rows, and the rows that fault
-at a gate get their Paulis as one gather, an index XOR and a unit phase
-per amplitude.  Every amplitude takes the same values as in a run of
-its pattern on its own (up to the signs of zeros, which no probability
-sees), and later shots reuse the pattern's distribution.
+as one (2^width, 2^m) state array whose columns are the patterns, padded
+to a power of two as the m low qubits of one register.  It starts as
+|0...0> in every column, each gate is one kernel call over long
+contiguous blocks (X and CX a slice swap, every other gate a 2x2
+product), and the columns that fault at a gate get their Paulis as one
+gather, an index XOR and a unit phase per amplitude.  Every amplitude
+takes the same values as in a run of its pattern on its own (up to the
+signs of zeros, which no probability sees), and later shots reuse the
+pattern's distribution.
 The fired gates, clean and faulty outcomes and readout flips of a block
 are found with array operations, so the histograms are bit-identical to
 a per-shot loop.
@@ -56,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _streams, kernels
-from .circuit import Circuit, gate_matrix
+from .circuit import PERMUTATION_KINDS, Circuit, Gate, apply_gate, gate_matrix
 from .oracle import SecretString
 from .statevector import Statevector, check_dense_width, init_basis, simulate
 from .synth import build_full_circuit
@@ -82,8 +86,9 @@ _PAULI_PHASES = np.array([[p[b, b ^ f] for b in (0, 1)] for p, f in zip(_PAULIS,
 _BLOCK_SHOTS = 8192
 
 # Amplitudes resimulated at once: a block's new fault patterns are split
-# into chunks of at most this many amplitudes (and at least one row), so a
-# wide circuit cannot allocate without bound.  At quito's width a chunk is
+# into chunks of a power of two rows, the largest that, padding included,
+# holds at most this many amplitudes (and at least one row), so a wide
+# circuit cannot allocate without bound.  At quito's width a chunk is
 # 2048 patterns; an 8192-row block of a demo circuit brings about 220
 # under the quito profile and up to about 1500 with its CX rates scaled
 # by 5 and single-qubit rates by 50.
@@ -301,25 +306,28 @@ def _faulty_cdfs(circuit: Circuit, patterns: np.ndarray) -> np.ndarray:
     (control, target) as divmod(choice, 4), 1..3 X, Y, Z at a
     single-qubit gate.
 
-    All rows are resimulated together as one (rows, 2^width) array that
-    starts as |0...0> in every row: gate k is one kernel call on all
-    rows, and the rows a fault hits at gate k get their Paulis as one
-    gather (`_hit`); each amplitude takes the same value as in a run of
-    its pattern on its own, up to the signs of zeros.
+    All rows are resimulated together as one (2^width, 2^m) array whose
+    columns are the rows padded to a power of two, so they are the m low
+    qubits of one (width + m)-qubit register.  It starts as |0...0> in
+    every column: gate k is one kernel call over long contiguous blocks,
+    and the columns a fault hits at gate k get their Paulis as one gather
+    (`_hit`); each amplitude takes the same value as in a run of its
+    pattern on its own, up to the signs of zeros.
     """
     width = circuit.width
-    rows = max(1, _BATCH_AMPLITUDES >> width)
-    if len(patterns) > rows:
+    chunk = 1 << max(0, (_BATCH_AMPLITUDES >> width).bit_length() - 1)
+    if len(patterns) > chunk:
         return np.concatenate(
-            [_faulty_cdfs(circuit, patterns[i : i + rows]) for i in range(0, len(patterns), rows)]
+            [_faulty_cdfs(circuit, patterns[i : i + chunk]) for i in range(0, len(patterns), chunk)]
         )
-    states = np.tile(init_basis(width, 0).amps, (len(patterns), 1))
+    m = (len(patterns) - 1).bit_length()
+    states = np.repeat(init_basis(width, 0).amps[:, None], 1 << m, axis=1)
     for k, gate in enumerate(circuit.gates):
-        kernels.apply_unitary(states, width, gate.qubits, gate_matrix(gate))
+        apply_gate(states, width + m, gate)
         at = np.flatnonzero(patterns[:, k])
         if len(at):
-            states[at] = _hit(states[at], width, gate.qubits, patterns[at, k])
-    cums = np.cumsum(np.abs(states) ** 2, axis=1)
+            states[:, at] = _hit(states[:, at].T, width, gate.qubits, patterns[at, k]).T
+    cums = np.cumsum(np.abs(states[:, : len(patterns)].T) ** 2, axis=1)
     cums[:, -1] = 1.0
     return cums
 
@@ -513,15 +521,22 @@ def exact_distribution(circuit: Circuit, profile: NoiseProfile) -> np.ndarray:
     rho = np.zeros(1 << (2 * width), dtype=np.complex128)
     rho[0] = 1.0
     for gate, p in zip(circuit.gates, site_prob):
-        _conjugate(rho, width, gate.qubits, gate_matrix(gate))
+        if gate.kind in PERMUTATION_KINDS:
+            # a real permutation: conj(u) = u, the same swap on the column qubits
+            apply_gate(rho, 2 * width, gate)
+            apply_gate(rho, 2 * width, Gate(gate.kind, tuple(q + width for q in gate.qubits)))
+        else:
+            _conjugate(rho, width, gate.qubits, gate_matrix(gate))
         if p:
-            # a CX's fault c is _PAULIS[c >> 2] on the control then _PAULIS[c & 3] on the target
+            # a CX's fault c is _PAULIS[c >> 2] on the control then _PAULIS[c & 3] on
+            # the target; an identity digit (0) leaves rho as it is
             faults = [(c >> 2, c & 3) for c in range(1, 16)] if gate.kind == "cx" else [(1,), (2,), (3,)]
             mixed = 0
             for fault in faults:
                 faulty = rho.copy()
                 for q, c in zip(gate.qubits, fault):
-                    _conjugate(faulty, width, (q,), _PAULIS[c])
+                    if c:
+                        _conjugate(faulty, width, (q,), _PAULIS[c])
                 mixed = mixed + faulty
             rho = (1.0 - p) * rho + (p / len(faults)) * mixed
     probs = rho[:: (1 << width) + 1].real.copy()

@@ -17,8 +17,7 @@ is traced, and builds no Statevector.
 
 import numpy as np
 
-from . import kernels
-from .circuit import Circuit, Gate, gate_matrix
+from .circuit import Circuit, Gate, apply_gate
 
 NORM_TOL = 1e-9
 MAX_DENSE_QUBITS = 24
@@ -62,7 +61,7 @@ class Statevector:
 
     def apply_gate(self, gate: Gate) -> "Statevector":
         self._check(gate.qubits)
-        kernels.apply_unitary(self.amps, self.num_qubits, gate.qubits, gate_matrix(gate))
+        apply_gate(self.amps, self.num_qubits, gate)
         return self
 
     def dominant_outcome(self, tol: float = NORM_TOL) -> str | None:

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from lcplearn import CX, H, RZ, SX, Circuit, NoiseProfile, kernels, run_noisy, simulate
+from lcplearn import CX, H, RZ, SX, X, Circuit, NoiseProfile, kernels, run_noisy, simulate
+from lcplearn.circuit import gate_matrix
 from lcplearn.noise import exact_distribution
 
 I2 = np.eye(2)
@@ -89,11 +90,31 @@ def test_sign_kernel_is_bit_exact(width):
     assert np.array_equal(amps, expected)
 
 
-def test_every_gate_goes_through_apply_unitary(monkeypatch):
+@pytest.mark.parametrize("width", range(1, 6))
+@pytest.mark.parametrize("rows", [None, 3])
+def test_flip_kernel_equals_the_gate_matrix(width, rows):
+    """X on every qubit and CX on every ordered qubit pair, as a swap,
+    equal the butterfly or 4x4 update on the gate's own matrix, on one
+    state and on a stack of leading rows."""
+    rng = np.random.default_rng(40 + width)
+    shape = (1 << width,) if rows is None else (rows, 1 << width)
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    gates = [X(q) for q in range(1, width + 1)]
+    gates += [CX(a, b) for a, b in itertools.permutations(range(1, width + 1), 2)]
+    for gate in gates:
+        swapped, multiplied = state.copy(), state.copy()
+        kernels.apply_flip(swapped, width, gate.qubits)
+        kernels.apply_unitary(multiplied, width, gate.qubits, gate_matrix(gate))
+        assert np.array_equal(swapped, multiplied), gate
+        assert not np.array_equal(swapped, state), gate
+
+
+def test_every_gate_makes_one_kernel_call(monkeypatch):
     """The statevector, Circuit.unitary, the density matrix and the noisy
-    replay's fault rows each make one bit-position kernel call per
-    apply_unitary call, so none maps qubits to bits on its own."""
-    calls = {"apply_single": 0, "apply_two": 0, "apply_unitary": 0}
+    replay's fault rows each apply a gate with one kernel call: X and CX
+    as the swap, every other gate through apply_unitary, which makes one
+    butterfly call.  No gate reaches the 4x4 update."""
+    calls = {"apply_flip": 0, "apply_single": 0, "apply_two": 0, "apply_unitary": 0}
     for name in calls:
         original = getattr(kernels, name)
 
@@ -102,20 +123,28 @@ def test_every_gate_goes_through_apply_unitary(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(kernels, name, counted)
-    circuit = Circuit(3, [H(1), CX(1, 3), SX(2), RZ(0.4, 3), CX(3, 2), H(2)])
+    circuit = Circuit(3, [H(1), CX(1, 3), SX(2), X(3), RZ(0.4, 3), CX(3, 2), H(2)])
+    flips, others = 3, 4
     # every gate errs for sure, so run_noisy resimulates fault patterns
     profile = NoiseProfile.uniform(3, cx=1.0, readout=0.0, sq=1.0)
-    for run in (
-        lambda: simulate(circuit),
-        circuit.unitary,
-        lambda: exact_distribution(circuit, profile),
-        lambda: run_noisy(circuit, profile, shots=64, seed=5),
+    # exact_distribution conjugates by the 24 non-identity digits of the
+    # 15 faults of each of the 2 CXs and the 3 Paulis of each of the 5
+    # single-qubit gates, each on the row and the column qubits
+    paulis = 2 * (2 * 24 + 5 * 3)
+    for run, passes, extra in (
+        (lambda: simulate(circuit), 1, 0),
+        (circuit.unitary, 1, 0),
+        (lambda: exact_distribution(circuit, profile), 2, paulis),
+        # one clean simulate and one batch of fault patterns
+        (lambda: run_noisy(circuit, profile, shots=64, seed=5), 2, 0),
     ):
         for name in calls:
             calls[name] = 0
         run()
-        assert calls["apply_unitary"] > 0
-        assert calls["apply_single"] + calls["apply_two"] == calls["apply_unitary"]
+        assert calls["apply_flip"] == passes * flips
+        assert calls["apply_unitary"] == passes * others + extra
+        assert calls["apply_single"] == calls["apply_unitary"]
+        assert calls["apply_two"] == 0
 
 
 def test_learning_never_imports_numba():

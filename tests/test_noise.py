@@ -22,6 +22,7 @@ from lcplearn import (
 )
 from lcplearn import _streams, kernels, noise
 from lcplearn._streams import MAX_SHOTS, iter_uniform
+from lcplearn.circuit import gate_matrix
 from lcplearn.noise import _BLOCK_SHOTS, _seed_tuple, _transpiled, exact_distribution
 
 DEMO_SECRETS = ("00", "01", "10", "11", "000", "001", "010", "011", "100", "101", "110", "111")
@@ -470,8 +471,33 @@ class TestBatchedReplay:
                 assert np.array_equal(row, expected), (qubits, choice)
 
     @pytest.mark.parametrize("amplitudes", [32, 96])
+    @pytest.mark.parametrize("rows", [5, 2048 + 50])
+    def test_padded_chunks_stay_within_the_amplitude_budget(self, monkeypatch, circuit, amplitudes, rows):
+        """Chunks of 1 and 2 rows at width 5, the largest powers of two the
+        budget holds: no array a gate is applied to, padding included,
+        holds more amplitudes than the budget, and every row matches its
+        pattern run on its own."""
+        monkeypatch.setattr(noise, "_BATCH_AMPLITUDES", amplitudes)
+        sizes = []
+        for name in ("apply_flip", "apply_unitary"):
+            original = getattr(kernels, name)
+
+            def recorded(amps, *args, original=original):
+                sizes.append(amps.size)
+                return original(amps, *args)
+
+            monkeypatch.setattr(kernels, name, recorded)
+        rng = np.random.default_rng(rows)
+        counts = [len(self._choices(g)) for g in circuit.gates]
+        choices = rng.integers(0, counts, (rows, len(counts))) + 1
+        patterns = np.where(rng.random((rows, len(counts))) < 0.05, choices, 0)
+        patterns[np.arange(rows), rng.integers(len(counts), size=rows)] = 1
+        self._assert_rows_match(circuit, patterns)
+        assert max(sizes) == {32: 32, 96: 64}[amplitudes]
+
+    @pytest.mark.parametrize("amplitudes", [32, 96])
     def test_small_batches_match_reference(self, monkeypatch, amplitudes):
-        """1 and 3 rows per chunk at width 5."""
+        """1 and 2 rows per chunk at width 5."""
         monkeypatch.setattr(noise, "_BATCH_AMPLITUDES", amplitudes)
         circuit, _ = _transpiled("010")
         profile = NoiseProfile.quito().scaled(cx=5, sq=50)
@@ -621,6 +647,46 @@ class TestExactAsp:
             circuit = Circuit(width, gates)
             probs = exact_distribution(circuit, NoiseProfile.zero(width))
             assert np.max(np.abs(probs - simulate(circuit).probabilities())) < 1e-12
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            NoiseProfile.quito(),
+            NoiseProfile.zero(5),
+            NoiseProfile.quito().scaled(5, 3, 50),
+            NoiseProfile.uniform(5, 1.0, 0.0, 1.0),
+        ],
+        ids=["quito", "zero", "scaled", "certain"],
+    )
+    def test_skipping_identity_digits_changes_nothing(self, profile):
+        """The density matrix conjugated by every digit of each fault,
+        identities included, and every gate as its matrix, gives the same
+        distribution bit for bit on the 12 demo circuits."""
+
+        def reference(circuit):
+            width = circuit.width
+            rho = np.zeros(1 << (2 * width), dtype=complex)
+            rho[0] = 1.0
+            for gate, p in zip(circuit.gates, noise._site_probabilities(circuit, profile)):
+                noise._conjugate(rho, width, gate.qubits, gate_matrix(gate))
+                if p:
+                    faults = [divmod(c, 4) for c in range(1, 16)] if gate.kind == "cx" else [(1,), (2,), (3,)]
+                    mixed = 0
+                    for fault in faults:
+                        faulty = rho.copy()
+                        for q, c in zip(gate.qubits, fault):
+                            noise._conjugate(faulty, width, (q,), noise._PAULIS[c])
+                        mixed = mixed + faulty
+                    rho = (1.0 - p) * rho + (p / len(faults)) * mixed
+            probs = rho[:: (1 << width) + 1].real.copy()
+            for q, r in enumerate(profile.readout_error[:width]):
+                pairs = probs.reshape(1 << q, 2, -1)
+                pairs[:] = (1.0 - r) * pairs + r * pairs[:, ::-1]
+            return probs
+
+        for text in DEMO_SECRETS:
+            circuit, _ = _transpiled(text)
+            assert np.array_equal(exact_distribution(circuit, profile), reference(circuit)), text
 
     def test_readout_confusion_on_the_diagonal(self):
         profile = NoiseProfile({}, (0.1, 0.25), (0.0, 0.0))
