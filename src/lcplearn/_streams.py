@@ -1,31 +1,46 @@
-"""The noise replay's per-shot random streams, chosen columns of a block
-of shots at once.
+"""The noise replay's per-shot random streams, a block of shots at once.
 
-Item j of `iter_uniform(base, shots, columns)` is the column whose entry
-i is, bit for bit,
-``np.random.default_rng((*base, shots[i])).random(columns[j] + 1)[-1]``;
-it is the module's one entry point.  numpy's SeedSequence (O'Neill's
-seed_seq_fe with a pool of four 32-bit words) turns the entropy words
-into a PCG64 seed and increment, PCG64 steps a 128-bit LCG and emits
-XSL-RR outputs, and Generator.random keeps the top 53 bits of each.  The
-same wrapping uint32/uint64 arithmetic runs here on arrays whose lanes
-are the shots, so a block costs a fixed number of numpy calls per
-column instead of one generator per shot.  (M. E. O'Neill, PCG: A Family
-of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-Number Generation, HMC-CS-2014-0905.)
+A `Block` is the streams default_rng((*base, shot)) of a block of shots,
+one lane each, seeded once and stepped forward through chosen columns:
+`step(c)` gives every lane's double number c (from 0), `hold(lanes)`
+keeps some lanes' states at the current column and `ahead(m)` gives the
+doubles m columns past every held state.  A double is returned as the
+53 bits Generator.random keeps, so it is exactly their value times
+2^-53, and `threshold(p)` turns a probability into the integer those
+bits are compared with.  `iter_uniform(base, shots, columns)` is the
+float view for tests and `verify`: item j is the column whose entry i
+is, bit for bit,
+``np.random.default_rng((*base, shots[i])).random(columns[j] + 1)[-1]``.
+
+numpy's SeedSequence (O'Neill's seed_seq_fe with a pool of four 32-bit
+words) turns the entropy words into a PCG64 seed and increment, PCG64
+steps a 128-bit LCG and emits XSL-RR outputs, and Generator.random keeps
+the top 53 bits of each.  The same wrapping uint32/uint64 arithmetic
+runs here on arrays whose lanes are the shots, so a block costs a fixed
+number of numpy calls per column instead of one generator per shot.
+(M. E. O'Neill, PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation,
+HMC-CS-2014-0905.)
 
 Only the requested columns are computed.  The LCG state m steps ahead is
 A^m s + C_m inc mod 2^128 with C_m = 1 + A + ... + A^(m-1), and both
 constants come from square-and-multiply on Python ints (F. B. Brown,
 "Random Number Generation with Arbitrary Strides", Trans. Am. Nucl. Soc.
 71, 1994).  Adjacent columns cost one step each and a gap between columns
-costs two 128-bit multiplies, however long it is.  The steps run in
-place on a fixed set of arrays; only each column's output is a new
-array.  On a 2-core Xeon VM an 8192-shot block of one column takes
-0.5–1.1 ms, the 33 columns of a quito demo circuit under the quito
-profile 4.0–6.0 ms, and all 60 columns of its stream 6.9–10.8 ms.
+costs two 128-bit multiplies, however long it is; held states taken at
+different columns all move m columns on in one jump, since the jump's
+constants are the same for every lane and each state takes its own
+lane's increment.  The steps run in place on a fixed set of
+work arrays, which a finished block leaves to the next (`_spare`).  On
+a 2-core Xeon VM (three runs) an 8192-shot block of one column takes
+0.4–0.6 ms; the one pass of a quito demo circuit, 27 fire columns at a
+1 % rate with their fired lanes held, the measurement column, 5 readout
+columns and the jump to the held lanes' Pauli draws, 3.8–5.2 ms; and
+all 60 columns of its stream 7.5–9.7 ms.
 """
 
+import math
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -85,16 +100,23 @@ def _pool(entropy: list) -> list:
     return pool
 
 
-def _generate_state(pool: list) -> list:
-    """SeedSequence.generate_state(4, np.uint64): eight words, paired little-endian."""
+def _generate_state(pool: list, words: list) -> None:
+    """SeedSequence.generate_state(4, np.uint64) into words[:4]: eight
+    32-bit values, paired little-endian; words[4] is scratch."""
     hash_const = _INIT_B
-    words = []
+    scratch = words[_POOL_SIZE]
     for i in range(2 * _POOL_SIZE):
         value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B
         value = value * hash_const
-        words.append((value ^ (value >> _XSHIFT)).astype(_U64))
-    return [words[2 * j] | (words[2 * j + 1] << _S32) for j in range(_POOL_SIZE)]
+        value = value ^ (value >> _XSHIFT)
+        word = words[i // 2]
+        if i % 2:
+            np.copyto(scratch, value)
+            np.left_shift(scratch, _S32, scratch)
+            np.bitwise_or(word, scratch, word)
+        else:
+            np.copyto(word, value)
 
 
 @lru_cache(maxsize=256)
@@ -136,7 +158,7 @@ def _mul(hi, lo, c: int, scratch: list) -> None:
     a1 b1 + (t >> 32) + (u >> 32).
     """
     c_hi, c_lo, b0, b1 = _limbs(c)
-    a0, a1, t, u = scratch
+    a0, a1, t, u = scratch[:4]
     np.bitwise_and(lo, _LOW32, a0)
     np.right_shift(lo, _S32, a1)
     np.multiply(a0, b0, t)
@@ -158,10 +180,11 @@ def _mul(hi, lo, c: int, scratch: list) -> None:
     np.multiply(lo, c_lo, lo)
 
 
-def _output(hi, lo, scratch: list) -> np.ndarray:
-    """XSL-RR of the states, then Generator.random's top 53 bits as a new
-    float64 array."""
-    x, rot, left, _ = scratch
+def _bits(hi, lo, scratch: list) -> np.ndarray:
+    """XSL-RR of the states, then the top 53 bits Generator.random keeps,
+    as uint64 in scratch[0]: the double drawn is exactly their value
+    times 2^-53."""
+    x, rot, left = scratch[:3]
     np.bitwise_xor(hi, lo, x)
     np.right_shift(hi, _S58, rot)
     np.subtract(_S64, rot, left)
@@ -170,66 +193,188 @@ def _output(hi, lo, scratch: list) -> np.ndarray:
     np.right_shift(x, rot, x)
     np.bitwise_or(x, left, x)
     np.right_shift(x, _S11, x)
-    return x * 2.0**-53
+    return x
+
+
+def threshold(p: float) -> np.uint64:
+    """K = ceil(p 2^53), so that a draw's bits k pass k < K exactly when
+    its double u = k 2^-53 passes u < p: scaling by 2^53 is exact for
+    p in [0, 1], and an integer is below a real exactly when it is below
+    the real's ceiling.  K is at most 2^53, so K << 11, the comparison on
+    the unshifted output, would overflow at p = 1."""
+    return _U64(math.ceil(float(p) * 2.0**53))
+
+
+def _check_shots(shots) -> np.ndarray:
+    shots = np.asarray(shots)
+    if shots.ndim != 1 or (shots.size and shots.dtype.kind not in "iu"):
+        raise ValueError("shot indices must be a 1-D integer array")
+    if shots.size and (shots.min() < 0 or shots.max() >= MAX_SHOTS):
+        raise ValueError(f"shot indices must lie in 0..{MAX_SHOTS - 1}")
+    return shots
+
+
+class Block:
+    """The streams of a block of shots, one lane each, seeded once and
+    stepped forward column by column.
+
+    `step(c)` moves every lane to column c and returns its draws there;
+    `hold(lanes)` keeps copies of some lanes' states at the current
+    column; `ahead(m)` returns the draws m columns past every held
+    state.  Lane i is shot shots[i] of the stream default_rng((*base,
+    shot)); shots are 0..2^32-1 in any order, and base's words are
+    non-negative.  Both are checked before any seeding.
+
+    Used as a context manager, a block leaves its work arrays on exit for
+    the next block to seed into (`_spare`), and may not be used after.
+    """
+
+    def __init__(self, base: tuple, shots):
+        shots = _check_shots(shots)
+        entropy = [w for n in base for w in _entropy_words(n)]
+        entropy.append(shots.astype(_U32))
+        # every step works in place: with a fresh array per operation the 33
+        # columns of an 8192-shot quito block took 11-13 ms instead of 5-6 ms
+        n = len(shots)
+        self._work = _take_work(n)
+        rows, self._carry = list(self._work[0][:, :n]), self._work[1][:n]
+        self._hi, self._lo, self._inc_hi, self._inc_lo, *self._scratch = rows
+        _seed(entropy, rows[:5], self._carry)
+        self._position = -2
+        self._held = []
+
+    def __enter__(self) -> "Block":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _leave_work(self._work)
+        # the arrays may now be another block's
+        self._work = self._hi = self._lo = self._inc_hi = self._inc_lo = self._scratch = self._carry = None
+
+    def step(self, column: int) -> np.ndarray:
+        """The top 53 bits of every lane's double number `column` (from
+        0), as uint64; the double is exactly their value times 2^-53.
+        Columns must strictly increase from call to call: adjacent ones
+        cost one LCG step, a gap two 128-bit multiplies however long it
+        is.  The array is overwritten by the next step."""
+        column = int(column)
+        if column < max(0, self._position + 1):
+            raise ValueError(
+                f"stream columns must be non-negative and strictly increasing, got {column} "
+                f"after {self._position}"
+            )
+        mult, plus = _jump(column - self._position)
+        self._position = column
+        _advance(self._hi, self._lo, self._inc_hi, self._inc_lo, mult, plus, self._scratch, self._carry)
+        return _bits(self._hi, self._lo, self._scratch)
+
+    def hold(self, lanes: np.ndarray) -> None:
+        """Keep the states of `lanes` (indices into the shots) at the
+        current column, for `ahead`."""
+        if self._position < 0:
+            raise ValueError("no column to hold: step to one first")
+        lanes = np.asarray(lanes, dtype=np.intp)
+        self._held.append((lanes, self._hi[lanes], self._lo[lanes]))
+
+    def ahead(self, m: int) -> np.ndarray:
+        """The top 53 bits of the double m columns past each held state,
+        in the order held, as a new uint64 array: one jump for all of
+        them, however many columns apart they were held."""
+        if m < 0:
+            raise ValueError(f"cannot draw {m} columns ahead")
+        held = [part for part in self._held if len(part[0])]
+        if not held:
+            return np.empty(0, dtype=_U64)
+        lanes, hi, lo = (np.concatenate(part) for part in zip(*held))
+        scratch, carry = list(np.empty((6, len(lo)), dtype=_U64)), np.empty(len(lo), dtype=bool)
+        _advance(hi, lo, self._inc_hi[lanes], self._inc_lo[lanes], *_jump(m), scratch, carry)
+        return _bits(hi, lo, scratch).copy()
+
+
+def _advance(hi, lo, inc_hi, inc_lo, mult: int, plus: int, scratch: list, carry) -> None:
+    """(hi, lo) = mult (hi, lo) + plus inc, mod 2^128, in place, with six
+    uint64 scratch arrays."""
+    _mul(hi, lo, mult, scratch)
+    if plus == 1:
+        _add128(hi, lo, inc_hi, inc_lo, carry)
+    else:
+        step_hi, step_lo = scratch[4:]
+        np.copyto(step_hi, inc_hi)
+        np.copyto(step_lo, inc_lo)
+        _mul(step_hi, step_lo, plus, scratch)
+        _add128(hi, lo, step_hi, step_lo, carry)
+
+
+# A block's work arrays: its state and increment words and six scratch
+# rows of uint64, and a carry row of bools, 81 bytes a lane.
+_WORK_ROWS = 10
+# The work arrays one finished block leaves for the next, the largest
+# returned of at most this many bytes (12 945 lanes; the noise replay's
+# blocks are 8192).  With fresh arrays for every block, the allocator
+# gave the freed heap top back to the system and the next block faulted
+# it in again: in the noise benchmark's alternating trials a zero-noise
+# trial took about 130 page faults and a quarter of its time in them.
+_SPARE_BYTES = 1 << 20
+_spare: list = []
+_spare_lock = threading.Lock()
+
+
+def _take_work(n: int) -> tuple:
+    """Work arrays of at least n lanes: the spare ones if they are large enough."""
+    with _spare_lock:
+        if _spare and len(_spare[0][1]) >= n:
+            return _spare.pop()
+    return np.empty((_WORK_ROWS, n), dtype=_U64), np.empty(n, dtype=bool)
+
+
+def _leave_work(work: tuple) -> None:
+    """Keep `work` as the spare arrays unless it is over budget or the
+    spare ones are at least as large."""
+    size = len(work[1])
+    with _spare_lock:
+        if size * (8 * _WORK_ROWS + 1) <= _SPARE_BYTES and not (_spare and len(_spare[0][1]) >= size):
+            _spare[:] = [work]
 
 
 def iter_uniform(base: tuple, shots, columns):
     """An iterator over the requested columns of the streams of `shots`:
     item j is the (len(shots),) float64 array of double number columns[j]
-    (from 0) of default_rng((*base, shot)) for each shot.
+    (from 0) of default_rng((*base, shot)) for each shot; a float view of
+    `Block.step`.
 
     `shots` is a 1-D integer array of shot indices in 0..2^32-1, in any
     order; `columns` is a strictly increasing sequence of non-negative
-    ints.  Both are checked here, before any seeding; the shots are seeded
-    once, on the first item.  Adjacent columns are stepped to and gaps are
-    jumped across, so a gap-free set from 0 is the sequential stream.
+    ints.  Both are checked here, before any seeding.  A gap-free set of
+    columns from 0 is the sequential stream.
     """
-    shots = np.asarray(shots)
     columns = [int(c) for c in columns]
     if columns and columns[0] < 0:
         raise ValueError(f"stream columns must be non-negative, got {columns[0]}")
     for a, b in zip(columns, columns[1:]):
         if b <= a:
             raise ValueError(f"stream columns must be strictly increasing, got {a} then {b}")
-    if shots.ndim != 1 or (shots.size and shots.dtype.kind not in "iu"):
-        raise ValueError("shot indices must be a 1-D integer array")
-    if shots.size and (shots.min() < 0 or shots.max() >= MAX_SHOTS):
-        raise ValueError(f"shot indices must lie in 0..{MAX_SHOTS - 1}")
-    entropy = [w for n in base for w in _entropy_words(n)]
-    entropy.append(shots.astype(_U32))
-    return _columns(entropy, columns)
+    return _floats(Block(base, shots), columns)
 
 
-def _columns(entropy: list, columns: list):
-    hi, lo, inc_hi, inc_lo = _seed(entropy)
-    # every step works in place: with a fresh array per operation the 33
-    # columns of an 8192-shot quito block took 11-13 ms instead of 5-6 ms
-    scratch = [np.empty_like(lo) for _ in range(4)]
-    step_hi, step_lo = np.empty_like(lo), np.empty_like(lo)
-    carry = np.empty(lo.shape, dtype=bool)
-    position = -2
-    for column in columns:
-        mult, plus = _jump(column - position)
-        position = column
-        _mul(hi, lo, mult, scratch)
-        if plus == 1:
-            _add128(hi, lo, inc_hi, inc_lo, carry)
-        else:
-            np.copyto(step_hi, inc_hi)
-            np.copyto(step_lo, inc_lo)
-            _mul(step_hi, step_lo, plus, scratch)
-            _add128(hi, lo, step_hi, step_lo, carry)
-        yield _output(hi, lo, scratch)
+def _floats(block: Block, columns: list):
+    with block:
+        for column in columns:
+            yield block.step(column) * 2.0**-53
 
 
-def _seed(entropy: list) -> tuple:
-    """pcg64_set_seed: initstate = (w0, w1), inc = (w2, w3) << 1 | 1, then
-    state = 0; step; state += initstate; step.  Returns the state
-    inc + initstate, whose column j is output j + 2 steps on, and inc.
-    Array arithmetic wraps without a warning; the scalar words would warn."""
+def _seed(entropy: list, words: list, carry) -> None:
+    """pcg64_set_seed into words = [hi, lo, inc_hi, inc_lo, scratch]:
+    initstate = (w0, w1), inc = (w2, w3) << 1 | 1, then state = 0; step;
+    state += initstate; step.  That leaves the state inc + initstate,
+    whose column j is output j + 2 steps on.  Array arithmetic wraps
+    without a warning; the scalar words would warn."""
+    w0, w1, w2, w3, scratch = words
     with np.errstate(over="ignore"):
-        w0, w1, w2, w3 = _generate_state(_pool(entropy))
-    inc_hi, inc_lo = (w2 << _ONE) | (w3 >> _S63), (w3 << _ONE) | _ONE
-    _add128(w0, w1, inc_hi, inc_lo, np.empty(w1.shape, dtype=bool))
-    return w0, w1, inc_hi, inc_lo
+        _generate_state(_pool(entropy), words)
+    np.right_shift(w3, _S63, scratch)
+    np.left_shift(w2, _ONE, w2)
+    np.bitwise_or(w2, scratch, w2)
+    np.left_shift(w3, _ONE, w3)
+    np.bitwise_or(w3, _ONE, w3)
+    _add128(w0, w1, w2, w3, carry)
 

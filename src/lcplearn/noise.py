@@ -15,20 +15,23 @@ common seed therefore only grows the set of fired errors; the
 monotonicity checks rely on this common-random-numbers property.  The
 streams of a block of 8192 shots are computed in one vectorized pass
 that reproduces numpy's SeedSequence, PCG64 and Generator.random bit for
-bit (`_streams.iter_uniform`), so no generator is constructed per shot,
-and a shot index is one 32-bit seed word, which caps a call at 2^32
-shots.  A block draws only the stream values that can change an
-outcome, jumping the generator across the rest: the measurement draw,
-the fire draws of gates with a nonzero error rate, the readout draws of
-qubits with a nonzero flip rate, and, in the rows where an error fired,
-the Pauli draws of the gates that fired.  The columns are consumed as
-they are drawn: a fire draw becomes a row of booleans, a readout draw a
-bit of a flip mask, and only the measurement draw and the few Pauli
-draws of the fired rows are kept as floats.
+bit (`_streams.Block`), so no generator is constructed per shot, and a
+shot index is one 32-bit seed word, which caps a call at 2^32 shots.  A
+block draws only the stream values that can change an outcome, jumping
+the generator across the rest: the measurement draw, the fire draws of
+gates with a nonzero error rate, the readout draws of qubits with a
+nonzero flip rate, and, in the rows where an error fired, the Pauli
+draws of the gates that fired.  The block is seeded once and each column
+is consumed as it is drawn.  A fire or readout draw is tested as an
+integer, its 53 bits k against K = ceil(p 2^53), and k < K holds exactly
+when the double k 2^-53 is below p.  A fire column keeps the states of
+the lanes it fired in, and after the pass one jump of a stream's
+n_sites gates takes all of them to their Pauli draws.  Only the
+measurement draw and those Pauli draws become floats.
 At zero noise that is one value a shot, and an 8192-shot trial of a
-quito demo circuit takes 0.8–1.4 ms (2-core Xeon VM, median over the
+quito demo circuit takes 1.3–1.4 ms (2-core Xeon VM, median over the
 12 demo secrets, three runs); under the quito profile it takes
-7.5–10.2 ms.
+7.7–10.0 ms.
 
 The replay never runs a circuit per shot.  It simulates the noiseless
 circuit once per call; a shot in which no error fired samples its
@@ -80,9 +83,10 @@ _PAULI_PHASES = np.array([[p[b, b ^ f] for b in (0, 1)] for p, f in zip(_PAULIS,
 # Shots whose random streams are computed at once: one block per 8192-shot
 # trial.  Each block pays a fixed number of numpy calls per drawn column
 # and one gate pass of `_faulty_cdfs`, whatever its row count.  A block
-# never holds its draws as a float matrix: the 33 drawn columns of a quito
-# demo circuit under the quito profile are 27 rows of fire booleans, the
-# measurement draw and a flip mask, 0.35 MB instead of 2.2 MB.
+# never holds its draws as a matrix: of the 33 drawn columns of a quito
+# demo circuit under the quito profile it keeps the measurement draw, a
+# flip mask and the fired lanes' states, about 0.15 MB beside the stream's
+# work arrays, where its draws as floats would take 2.2 MB.
 _BLOCK_SHOTS = 8192
 
 # Amplitudes resimulated at once: a block's new fault patterns are split
@@ -339,9 +343,10 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     default_rng((*seed, k)), computed for a block of shots in one
     vectorized pass, so results do not depend on how shots are batched.
     A block draws only the values that can change a count: the
-    measurement draw, the fire and readout draws of nonzero rates, then,
-    for the rows where an error fired, the Pauli draws of the gates that
-    fired in any of them.
+    measurement draw, the fire and readout draws of nonzero rates, and,
+    in each row where an error fired, the Pauli draws of the gates that
+    fired in it.  The block is seeded once; the Pauli draws are jumped to
+    from the states its fire columns held for the rows they fired in.
     `shots` may be at most 2^32, since a shot index is one 32-bit seed
     word; seed elements must be non-negative.  Keys are the outcomes
     read, in ascending order.
@@ -368,43 +373,41 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     # A shot's stream holds a fire draw per gate, a Pauli draw per gate, the
     # measurement draw, then a readout draw per qubit.  `u < 0` never holds,
     # so only the measurement draw, the fire and readout draws of nonzero
-    # rates, and the Pauli draws of fired gates can change a count.
+    # rates, and the Pauli draws of fired gates can change a count.  Fire
+    # and readout draws are tested on their 53 bits (`_streams.threshold`).
     live = np.flatnonzero(site_prob > 0)
     clean_cum = _cdf(simulate(circuit))
     faulty_cums: dict[bytes, np.ndarray] = {}
     flips = np.flatnonzero(readout > 0)
-    columns = [*live, 2 * n_sites, *(2 * n_sites + 1 + flips)]
-    live_prob = site_prob[live]
-    flip_prob, flip_value = readout[flips], bit_value[flips]
+    live_k = [_streams.threshold(p) for p in site_prob[live]]
+    flip_k = [_streams.threshold(p) for p in readout[flips]]
 
     totals = np.zeros(1 << width, dtype=np.int64)
     for start in range(0, shots, _BLOCK_SHOTS):
         rows = min(_BLOCK_SHOTS, shots - start)
-        # the drawn columns, in stream order, are consumed as they come:
-        # fire draws become booleans, readout draws bits of a flip mask.
-        # `draws` goes last in the fire loop, which so stops before the
-        # measurement column, and first in the readout loop, which so runs
-        # it to its end and frees its work arrays.
-        draws = _streams.iter_uniform(base, np.arange(start, start + rows), columns)
-        fires = np.empty((len(live), rows), dtype=bool)
-        for row, p, u in zip(fires, live_prob, draws):
-            np.less(u, p, out=row)
-        meas_u = next(draws)
-        flip_mask = np.zeros(rows, dtype=np.int64)
-        for u, p, value in zip(draws, flip_prob, flip_value):
-            flip_mask[u < p] ^= value
+        # one pass over the drawn columns in stream order; each fire column
+        # keeps the states of the lanes it fired in, whose Pauli draw is the
+        # same stream n_sites columns on
+        with _streams.Block(base, np.arange(start, start + rows)) as block:
+            hit = []
+            for site, k in zip(live, live_k):
+                lanes = np.flatnonzero(block.step(site) < k)
+                block.hold(lanes)
+                hit.append(lanes)
+            meas_u = block.step(2 * n_sites) * 2.0**-53
+            flip_mask = np.zeros(rows, dtype=np.int64)
+            for q, k in zip(flips, flip_k):
+                flip_mask[block.step(2 * n_sites + 1 + q) < k] ^= bit_value[q]
+            pick_u = block.ahead(n_sites) * 2.0**-53
 
         outcomes = np.searchsorted(clean_cum, meas_u, side="right")
-        fired = np.flatnonzero(fires.any(axis=0))
-        if len(fired):
-            # Pauli draws only in these rows, at the sites that fired in one
-            hit = fires[:, fired].T
-            struck = hit.any(axis=0)
-            sites = live[struck]
-            pick_u = np.column_stack(list(_streams.iter_uniform(base, start + fired, n_sites + sites)))
+        lanes = np.concatenate([np.empty(0, dtype=np.intp), *hit])
+        if len(lanes):
+            sites = np.repeat(live, [len(h) for h in hit])
             choice = (pick_u * pauli_count[sites]).astype(np.uint8) + 1
+            fired, at = np.unique(lanes, return_inverse=True)
             faults = np.zeros((len(fired), n_sites), dtype=np.uint8)
-            faults[:, sites] = np.where(hit[:, struck], choice, 0)
+            faults[at, sites] = choice
             keys = [row.tobytes() for row in faults]
             # one row per pattern not yet memoised; equal keys are equal rows
             new = {key: i for i, key in enumerate(keys) if key not in faulty_cums}

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._streams import iter_uniform
+from ._streams import Block, iter_uniform
 from .circuit import CX, Circuit, Gate, serialize
 from .classical import min_external_path_length, verify_optimality
 from .noise import NoiseProfile, estimate_asp, exact_asp
@@ -418,6 +418,24 @@ def suite_noise() -> list[CheckResult]:
             "gapped stream columns equal numpy default_rng",
             same,
             f"{len(column_sets)} column sets x {len(shots)} scattered shots, numpy {np.__version__}",
+        )
+    )
+
+    # the replay's Pauli draws: states held at fire columns, then jumped
+    # n_sites (27 on a demo circuit) or more than 64 columns at once
+    same = True
+    for m in (1, 27, 70):
+        block, expected = Block((99, 2), shots), []
+        for column, lanes in ((0, [0, 2]), (4, []), (5, [4, 1, 0]), (26, [3])):
+            block.step(column)
+            block.hold(np.array(lanes, dtype=np.intp))
+            expected += [np.random.default_rng((99, 2, int(shots[i]))).random(column + m + 1)[-1] for i in lanes]
+        same = same and np.array_equal(block.ahead(m) * 2.0**-53, expected)
+    rows.append(
+        CheckResult(
+            "Pauli draws by jump-ahead equal numpy default_rng",
+            same,
+            f"3 jumps x 6 held lanes, numpy {np.__version__}",
         )
     )
 

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from lcplearn import (
     simulate,
 )
 from lcplearn import _streams, kernels, noise
-from lcplearn._streams import MAX_SHOTS, iter_uniform
+from lcplearn._streams import MAX_SHOTS, Block, iter_uniform, threshold
 from lcplearn.circuit import gate_matrix
 from lcplearn.noise import _BLOCK_SHOTS, _seed_tuple, _transpiled, exact_distribution
 
@@ -336,16 +338,34 @@ class TestBitIdentity:
     def test_zero_noise_draws_only_the_measurement_column(self, monkeypatch):
         circuit, _ = _transpiled("101")
         calls = []
+        step = Block.step
 
-        def spy(base, shots, columns):
-            calls.append((len(shots), list(columns)))
-            return iter_uniform(base, shots, columns)
+        def spy(block, column):
+            calls.append((len(block._lo), column))
+            return step(block, column)
 
-        monkeypatch.setattr(_streams, "iter_uniform", spy)
+        monkeypatch.setattr(Block, "step", spy)
         shots = 2 * _BLOCK_SHOTS + 5
         run_noisy(circuit, NoiseProfile.zero(5), shots, seed=4)
-        assert {tuple(columns) for _, columns in calls} == {(2 * len(circuit.gates),)}
+        assert {column for _, column in calls} == {2 * len(circuit.gates)}
         assert sum(rows for rows, _ in calls) == shots
+
+    def test_quito_run_seeds_each_block_once(self, monkeypatch):
+        """The Pauli draws of fired rows come from the block's own pass,
+        not from seeding those rows' streams again."""
+        circuit, _ = _transpiled("101")
+        seeded = []
+        seed = _streams._seed
+
+        def spy(entropy, *work):
+            seeded.append(len(entropy[-1]))
+            return seed(entropy, *work)
+
+        monkeypatch.setattr(_streams, "_seed", spy)
+        shots = 2 * _BLOCK_SHOTS + 5
+        hist = run_noisy(circuit, NoiseProfile.quito(), shots, seed=4)
+        assert seeded == [_BLOCK_SHOTS, _BLOCK_SHOTS, 5]
+        assert hist != run_noisy(circuit, NoiseProfile.zero(5), shots, seed=4)
 
     def test_one_quito_trial_stays_under_its_memory_bound(self):
         """A block holds fire booleans, the measurement draw and a flip mask,
@@ -585,6 +605,117 @@ class TestStreams:
         monkeypatch.setattr(_streams, "_pool", no_work)
         with pytest.raises(ValueError):
             iter_uniform(base, np.array(shots), columns)
+
+    @staticmethod
+    def _assert_ahead_equals_default_rng(base, shots, holds, m):
+        """Hold `lanes` at each (column, lanes) of `holds`, then draw m
+        columns ahead of every held state."""
+        block, expected = Block(base, np.array(shots)), []
+        for column, lanes in holds:
+            block.step(column)
+            block.hold(np.array(lanes, dtype=np.intp))
+            for i in lanes:
+                expected.append(np.random.default_rng((*base, shots[i])).random(column + m + 1)[column + m])
+        drawn = block.ahead(m)
+        assert drawn.dtype == np.uint64 and drawn.shape == (len(expected),)
+        assert np.array_equal(drawn * 2.0**-53, expected)
+
+    @pytest.mark.parametrize(
+        "m",
+        [1, *sorted({len(_transpiled(s)[0].gates) for s in DEMO_SECRETS}), 65, 300],
+    )
+    @pytest.mark.parametrize("base", [(0,), (2**40 + 5, 7)])
+    def test_ahead_of_held_lanes_equals_default_rng(self, base, m):
+        shots = [2**32 - 1, 0, 2**31, 7, 51_000, 3]
+        holds = [(0, [0, 2]), (1, []), (2, [5, 0]), (9, [1, 2, 3, 4]), (70, [0])]
+        self._assert_ahead_equals_default_rng(base, shots, holds, m)
+
+    def test_ahead_of_no_held_lane_is_empty(self):
+        self._assert_ahead_equals_default_rng((3,), [2**32 - 1, 1], [(0, []), (4, [])], 27)
+        block = Block((3,), np.array([2**32 - 1, 1]))
+        block.step(5)
+        assert block.ahead(27).shape == (0,)
+
+    def test_hold_before_any_step_rejected(self):
+        with pytest.raises(ValueError):
+            Block((0,), np.arange(4)).hold(np.array([0]))
+
+    @pytest.mark.parametrize("columns", [[3, 3], [4, 2], [-1]], ids=["repeated", "backwards", "negative"])
+    def test_block_steps_only_forward(self, columns):
+        block = Block((0,), np.arange(4))
+        with pytest.raises(ValueError):
+            for column in columns:
+                block.step(column)
+
+    def test_interleaved_blocks_do_not_share_work_arrays(self):
+        """Two streams drawn in turn, and a block seeded while another is
+        open, each equal default_rng: no block seeds into arrays in use."""
+        base = (5,)
+        small, large = np.arange(3), np.array([2**32 - 1, 9, 400, 2**31])
+        pairs = zip(iter_uniform(base, small, range(4)), iter_uniform(base, large, range(4)))
+        for c, (a, b) in enumerate(pairs):
+            for shots, column in ((small, a), (large, b)):
+                assert np.array_equal(column, [np.random.default_rng((*base, k)).random(c + 1)[-1] for k in shots])
+        with Block(base, large) as outer:
+            outer.step(3)
+            with Block(base, small) as inner:
+                inner.step(3)
+            assert np.array_equal(outer.step(4) * 2.0**-53, stream_matrix(base, large, [4])[:, 0])
+
+    def test_threads_sharing_the_spare_work_arrays_draw_their_own_streams(self):
+        """More threads than cores take and leave the one spare set of work
+        arrays with a short switch interval; every draw stays its own."""
+        shot_sets = [np.arange(k, k + 40 + 9 * k) for k in range(6)]
+        expected = [stream_matrix((8,), shots, [0, 3, 70]) for shots in shot_sets]
+        results = [[] for _ in shot_sets]
+
+        def draw(i):
+            for _ in range(30):
+                results[i].append(stream_matrix((8,), shot_sets[i], [0, 3, 70]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(shot_sets))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            assert len(got) == 30 and all(np.array_equal(g, want) for g in got)
+
+    def test_spare_work_arrays_are_reused_within_their_budget(self, monkeypatch):
+        monkeypatch.setattr(_streams, "_spare", [])
+        with Block((0,), np.arange(_BLOCK_SHOTS)) as block:
+            work = block._work
+        assert len(_streams._spare) == 1 and _streams._spare[0] is work
+        with Block((1,), np.arange(100)) as block:
+            assert block._work is work and not _streams._spare
+            assert np.array_equal(block.step(2) * 2.0**-53, stream_matrix((1,), np.arange(100), [2])[:, 0])
+        over = _streams._SPARE_BYTES // (8 * _streams._WORK_ROWS + 1) + 1
+        with Block((0,), np.arange(over)):
+            pass
+        assert len(_streams._spare) == 1 and _streams._spare[0] is work
+
+    @staticmethod
+    def _threshold_probabilities():
+        tiny = np.nextafter(0.0, 1.0)
+        grid = [j * 2.0**-53 for j in (1, 2, 3, 2**20 + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1)]
+        neighbours = [np.nextafter(p, t) for p in grid for t in (0.0, 2.0)]
+        return [1.0, 0.5, tiny, *grid, *neighbours, 0.0, 7.401e-3, 4.57e-4]
+
+    @pytest.mark.parametrize("p", _threshold_probabilities())
+    def test_integer_threshold_agrees_with_the_double(self, p):
+        """k < K holds exactly when the double drawn, k 2^-53, is below p,
+        at K - 1, K and K + 1 and wherever those are 53-bit draws."""
+        k_max = int(threshold(p))
+        assert k_max == math.ceil(float(p) * 2.0**53) <= 2**53
+        ks = np.array([k for k in (k_max - 1, k_max, k_max + 1) if 0 <= k < 2**53], dtype=np.uint64)
+        assert len(ks)
+        assert np.array_equal(ks < threshold(p), ks * 2.0**-53 < p)
 
     @pytest.mark.parametrize("m", [1, 2, 63, 64, 10**5])
     def test_jump_constants_equal_plain_steps(self, m):
