@@ -30,8 +30,8 @@ constants come from square-and-multiply on Python ints (F. B. Brown,
 costs two 128-bit multiplies, however long it is; held states taken at
 different columns all move m columns on in one jump, since the jump's
 constants are the same for every lane and each state takes its own
-lane's increment.  The steps run in place on a fixed set of
-work arrays, which a finished block leaves to the next (`_spare`).  On
+lane's increment.  The steps run in place on the rows of one uint64
+work array, which a finished block leaves to the next (`_spare`).  On
 a 2-core Xeon VM (three runs) an 8192-shot block of one column takes
 0.4–0.6 ms; the one pass of a quito demo circuit, 27 fire columns at a
 1 % rate with their fired lanes held, the measurement column, 5 readout
@@ -142,7 +142,8 @@ def _limbs(c: int) -> tuple:
 
 
 def _add128(hi, lo, b_hi, b_lo, carry) -> None:
-    """(hi, lo) += (b_hi, b_lo) mod 2^128 in place; `carry` is bool scratch."""
+    """(hi, lo) += (b_hi, b_lo) mod 2^128 in place; `carry` is uint64
+    scratch, so every add is a uint64 loop."""
     np.add(lo, b_lo, lo)
     np.less(lo, b_lo, carry)
     np.add(hi, b_hi, hi)
@@ -225,7 +226,7 @@ class Block:
     shot)); shots are 0..2^32-1 in any order, and base's words are
     non-negative.  Both are checked before any seeding.
 
-    Used as a context manager, a block leaves its work arrays on exit for
+    Used as a context manager, a block leaves its work array on exit for
     the next block to seed into (`_spare`), and may not be used after.
     """
 
@@ -237,9 +238,9 @@ class Block:
         # columns of an 8192-shot quito block took 11-13 ms instead of 5-6 ms
         n = len(shots)
         self._work = _take_work(n)
-        rows, self._carry = list(self._work[0][:, :n]), self._work[1][:n]
+        rows = list(self._work[:, :n])
         self._hi, self._lo, self._inc_hi, self._inc_lo, *self._scratch = rows
-        _seed(entropy, rows[:5], self._carry)
+        _seed(entropy, rows)
         self._position = -2
         self._held = []
 
@@ -249,7 +250,7 @@ class Block:
     def __exit__(self, *exc) -> None:
         _leave_work(self._work)
         # the arrays may now be another block's
-        self._work = self._hi = self._lo = self._inc_hi = self._inc_lo = self._scratch = self._carry = None
+        self._work = self._hi = self._lo = self._inc_hi = self._inc_lo = self._scratch = None
 
     def step(self, column: int) -> np.ndarray:
         """The top 53 bits of every lane's double number `column` (from
@@ -265,7 +266,7 @@ class Block:
             )
         mult, plus = _jump(column - self._position)
         self._position = column
-        _advance(self._hi, self._lo, self._inc_hi, self._inc_lo, mult, plus, self._scratch, self._carry)
+        _advance(self._hi, self._lo, self._inc_hi, self._inc_lo, mult, plus, self._scratch)
         return _bits(self._hi, self._lo, self._scratch)
 
     def hold(self, lanes: np.ndarray) -> None:
@@ -286,30 +287,30 @@ class Block:
         if not held:
             return np.empty(0, dtype=_U64)
         lanes, hi, lo = (np.concatenate(part) for part in zip(*held))
-        scratch, carry = list(np.empty((6, len(lo)), dtype=_U64)), np.empty(len(lo), dtype=bool)
-        _advance(hi, lo, self._inc_hi[lanes], self._inc_lo[lanes], *_jump(m), scratch, carry)
+        scratch = list(np.empty((_WORK_ROWS - 4, len(lo)), dtype=_U64))
+        _advance(hi, lo, self._inc_hi[lanes], self._inc_lo[lanes], *_jump(m), scratch)
         return _bits(hi, lo, scratch).copy()
 
 
-def _advance(hi, lo, inc_hi, inc_lo, mult: int, plus: int, scratch: list, carry) -> None:
-    """(hi, lo) = mult (hi, lo) + plus inc, mod 2^128, in place, with six
-    uint64 scratch arrays."""
+def _advance(hi, lo, inc_hi, inc_lo, mult: int, plus: int, scratch: list) -> None:
+    """(hi, lo) = mult (hi, lo) + plus inc, mod 2^128, in place, with seven
+    uint64 scratch arrays, the last `_add128`'s carry."""
+    step_hi, step_lo, carry = scratch[4:]
     _mul(hi, lo, mult, scratch)
     if plus == 1:
         _add128(hi, lo, inc_hi, inc_lo, carry)
     else:
-        step_hi, step_lo = scratch[4:]
         np.copyto(step_hi, inc_hi)
         np.copyto(step_lo, inc_lo)
         _mul(step_hi, step_lo, plus, scratch)
         _add128(hi, lo, step_hi, step_lo, carry)
 
 
-# A block's work arrays: its state and increment words and six scratch
-# rows of uint64, and a carry row of bools, 81 bytes a lane.
-_WORK_ROWS = 10
-# The work arrays one finished block leaves for the next, the largest
-# returned of at most this many bytes (12 945 lanes; the noise replay's
+# A block's work array: its state and increment words, six scratch rows
+# and `_add128`'s carry, one uint64 row each, 88 bytes a lane.
+_WORK_ROWS = 11
+# The work array one finished block leaves for the next, the largest
+# returned of at most this many bytes (11 915 lanes; the noise replay's
 # blocks are 8192).  With fresh arrays for every block, the allocator
 # gave the freed heap top back to the system and the next block faulted
 # it in again: in the noise benchmark's alternating trials a zero-noise
@@ -319,20 +320,19 @@ _spare: list = []
 _spare_lock = threading.Lock()
 
 
-def _take_work(n: int) -> tuple:
-    """Work arrays of at least n lanes: the spare ones if they are large enough."""
+def _take_work(n: int) -> np.ndarray:
+    """A work array of at least n lanes: the spare one if it is large enough."""
     with _spare_lock:
-        if _spare and len(_spare[0][1]) >= n:
+        if _spare and _spare[0].shape[1] >= n:
             return _spare.pop()
-    return np.empty((_WORK_ROWS, n), dtype=_U64), np.empty(n, dtype=bool)
+    return np.empty((_WORK_ROWS, n), dtype=_U64)
 
 
-def _leave_work(work: tuple) -> None:
-    """Keep `work` as the spare arrays unless it is over budget or the
-    spare ones are at least as large."""
-    size = len(work[1])
+def _leave_work(work: np.ndarray) -> None:
+    """Keep `work` as the spare array unless it is over budget or the
+    spare one is at least as large."""
     with _spare_lock:
-        if size * (8 * _WORK_ROWS + 1) <= _SPARE_BYTES and not (_spare and len(_spare[0][1]) >= size):
+        if work.nbytes <= _SPARE_BYTES and not (_spare and _spare[0].shape[1] >= work.shape[1]):
             _spare[:] = [work]
 
 
@@ -362,19 +362,20 @@ def _floats(block: Block, columns: list):
             yield block.step(column) * 2.0**-53
 
 
-def _seed(entropy: list, words: list, carry) -> None:
-    """pcg64_set_seed into words = [hi, lo, inc_hi, inc_lo, scratch]:
-    initstate = (w0, w1), inc = (w2, w3) << 1 | 1, then state = 0; step;
-    state += initstate; step.  That leaves the state inc + initstate,
-    whose column j is output j + 2 steps on.  Array arithmetic wraps
-    without a warning; the scalar words would warn."""
-    w0, w1, w2, w3, scratch = words
+def _seed(entropy: list, words: list) -> None:
+    """pcg64_set_seed into a block's work rows, words = [hi, lo, inc_hi,
+    inc_lo, scratch, ..., carry]: initstate = (w0, w1), inc = (w2, w3)
+    << 1 | 1, then state = 0; step; state += initstate; step.  That
+    leaves the state inc + initstate, whose column j is output j + 2
+    steps on.  Array arithmetic wraps without a warning; the scalar
+    words would warn."""
+    w0, w1, w2, w3, scratch = words[:5]
     with np.errstate(over="ignore"):
-        _generate_state(_pool(entropy), words)
+        _generate_state(_pool(entropy), words[:5])
     np.right_shift(w3, _S63, scratch)
     np.left_shift(w2, _ONE, w2)
     np.bitwise_or(w2, scratch, w2)
     np.left_shift(w3, _ONE, w3)
     np.bitwise_or(w3, _ONE, w3)
-    _add128(w0, w1, w2, w3, carry)
+    _add128(w0, w1, w2, w3, words[-1])
 

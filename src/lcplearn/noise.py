@@ -29,24 +29,25 @@ the lanes it fired in, and after the pass one jump of a stream's
 n_sites gates takes all of them to their Pauli draws.  Only the
 measurement draw and those Pauli draws become floats.
 At zero noise that is one value a shot, and an 8192-shot trial of a
-quito demo circuit takes 1.3–1.4 ms (2-core Xeon VM, median over the
+quito demo circuit takes 0.9–1.3 ms (2-core Xeon VM, median over the
 12 demo secrets, three runs); under the quito profile it takes
-7.7–10.0 ms.
+6.5–9.7 ms.
 
 The replay never runs a circuit per shot.  It simulates the noiseless
 circuit once per call; a shot in which no error fired samples its
 distribution.  A shot with errors is keyed by its fault pattern, the
 Pauli chosen at each fired gate, and each pattern is resimulated once
-per call.  The patterns first seen in a block are resimulated together
-as one (2^width, 2^m) state array whose columns are the patterns, padded
-to a power of two as the m low qubits of one register.  It starts as
-|0...0> in every column, each gate is one kernel call over long
-contiguous blocks (X and CX a slice swap, every other gate a 2x2
-product), and the columns that fault at a gate get their Paulis as one
-gather, an index XOR and a unit phase per amplitude.  Every amplitude
+per block: one sort of the block's pattern rows finds the distinct
+ones, which are resimulated together as one (2^width, 2^m) state array
+whose columns are the patterns, padded to a power of two as the m low
+qubits of one register.  It starts as |0...0> in every column, each
+gate is one kernel call over long contiguous blocks (X and CX a slice
+swap, every other gate a 2x2 product), and the columns that fault at a
+gate get their Paulis as one gather, an index XOR and a unit phase per
+amplitude.  Every amplitude
 takes the same values as in a run of its pattern on its own (up to the
-signs of zeros, which no probability sees), and later shots reuse the
-pattern's distribution.
+signs of zeros, which no probability sees), and every shot of the block
+with that pattern samples its distribution.
 The fired gates, clean and faulty outcomes and readout flips of a block
 are found with array operations, so the histograms are bit-identical to
 a per-shot loop.
@@ -86,10 +87,10 @@ _PAULI_PHASES = np.array([[p[b, b ^ f] for b in (0, 1)] for p, f in zip(_PAULIS,
 # never holds its draws as a matrix: of the 33 drawn columns of a quito
 # demo circuit under the quito profile it keeps the measurement draw, a
 # flip mask and the fired lanes' states, about 0.15 MB beside the stream's
-# work arrays, where its draws as floats would take 2.2 MB.
+# work array, where its draws as floats would take 2.2 MB.
 _BLOCK_SHOTS = 8192
 
-# Amplitudes resimulated at once: a block's new fault patterns are split
+# Amplitudes resimulated at once: a block's distinct fault patterns are split
 # into chunks of a power of two rows, the largest that, padding included,
 # holds at most this many amplitudes (and at least one row), so a wide
 # circuit cannot allocate without bound.  At quito's width a chunk is
@@ -351,10 +352,9 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     word; seed elements must be non-negative.  Keys are the outcomes
     read, in ascending order.
 
-    Each block resimulates the fault patterns it sees for the first time
-    in one batched pass (`_faulty_cdfs`) and memoises their CDFs for the
-    rest of the call; a shot samples its pattern's CDF, or the clean one
-    when nothing fired.
+    Each block resimulates its distinct fault patterns, each once, in one
+    batched pass (`_faulty_cdfs`); a shot samples its pattern's CDF, or
+    the clean one when nothing fired.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -377,7 +377,6 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     # and readout draws are tested on their 53 bits (`_streams.threshold`).
     live = np.flatnonzero(site_prob > 0)
     clean_cum = _cdf(simulate(circuit))
-    faulty_cums: dict[bytes, np.ndarray] = {}
     flips = np.flatnonzero(readout > 0)
     live_k = [_streams.threshold(p) for p in site_prob[live]]
     flip_k = [_streams.threshold(p) for p in readout[flips]]
@@ -408,16 +407,14 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
             fired, at = np.unique(lanes, return_inverse=True)
             faults = np.zeros((len(fired), n_sites), dtype=np.uint8)
             faults[at, sites] = choice
-            keys = [row.tobytes() for row in faults]
-            # one row per pattern not yet memoised; equal keys are equal rows
-            new = {key: i for i, key in enumerate(keys) if key not in faulty_cums}
-            if new:
-                cdfs = _faulty_cdfs(circuit, faults[list(new.values())])
-                faulty_cums.update(zip(new, cdfs))
+            # each row's bytes as one opaque key, so equal rows are equal
+            # keys; `first` picks one row of each distinct pattern
+            keys = faults.view(np.dtype((np.void, n_sites))).ravel()
+            _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+            cdfs = _faulty_cdfs(circuit, faults[first])
             # searchsorted(side="right") on each row: a CDF is
             # non-decreasing and ends at 1.0, above every draw
-            table = np.array([faulty_cums[key] for key in keys])
-            outcomes[fired] = (table <= meas_u[fired, None]).sum(axis=1)
+            outcomes[fired] = (cdfs[which] <= meas_u[fired, None]).sum(axis=1)
         outcomes ^= flip_mask
         totals += np.bincount(outcomes, minlength=1 << width)
     return {format(b, f"0{width}b"): int(c) for b, c in enumerate(totals) if c}

@@ -286,7 +286,7 @@ class TestRunNoisy:
 
 
 class TestBitIdentity:
-    """The cached-prefix, pattern-memo replay against the per-shot loop."""
+    """The block-batched replay against the per-shot loop."""
 
     @pytest.mark.parametrize("secret", DEMO_SECRETS)
     def test_demo_secrets_match_reference(self, secret):
@@ -367,13 +367,49 @@ class TestBitIdentity:
         assert seeded == [_BLOCK_SHOTS, _BLOCK_SHOTS, 5]
         assert hist != run_noisy(circuit, NoiseProfile.zero(5), shots, seed=4)
 
-    def test_one_quito_trial_stays_under_its_memory_bound(self):
-        """A block holds fire booleans, the measurement draw and a flip mask,
-        not its draws as floats: the 33 drawn columns of this circuit as an
-        8192-row float64 matrix alone are 2.2 MB."""
+    def test_each_block_resimulates_its_distinct_fault_rows_once(self, monkeypatch):
+        """Every `_faulty_cdfs` call gets the distinct fault patterns of one
+        block, each once: the rows default_rng's streams fire in it."""
+        circuit, _ = _transpiled("101")
+        profile = NoiseProfile.quito().scaled(cx=5, sq=50)
+        site_prob = noise._site_probabilities(circuit, profile)
+        pauli_count = np.array([15 if g.kind == "cx" else 3 for g in circuit.gates])
+        n_sites = len(site_prob)
+        calls = []
+        faulty_cdfs = noise._faulty_cdfs
+
+        def spy(circ, patterns):
+            calls.append([tuple(int(c) for c in row) for row in patterns])
+            return faulty_cdfs(circ, patterns)
+
+        monkeypatch.setattr(noise, "_faulty_cdfs", spy)
+        shots = 2 * _BLOCK_SHOTS + 5
+        run_noisy(circuit, profile, shots, seed=4)
+        expected = []
+        for start in range(0, shots, _BLOCK_SHOTS):
+            rows = set()
+            for shot in range(start, min(start + _BLOCK_SHOTS, shots)):
+                draws = np.random.default_rng((4, shot)).random(2 * n_sites)
+                fired = draws[:n_sites] < site_prob
+                if fired.any():
+                    choice = (draws[n_sites:] * pauli_count).astype(int) + 1
+                    rows.add(tuple(int(c) for c in np.where(fired, choice, 0)))
+            expected.append(rows)
+        assert len(calls) == len(expected) == 3
+        for got, rows in zip(calls, expected):
+            assert len(set(got)) == len(got)
+            assert set(got) == rows
+
+    def test_one_quito_trial_stays_under_its_memory_bound(self, monkeypatch):
+        """A block holds the measurement draw, a flip mask and the fired
+        lanes' states beside the stream's work array, not its draws as
+        floats: the 33 drawn columns of this circuit as an 8192-row float64
+        matrix alone are 2.2 MB.  The spare work array the warm-up leaves
+        is dropped, so the traced trial allocates its own."""
         circuit, _ = _transpiled("011")
         quito = NoiseProfile.quito()
         run_noisy(circuit, quito, 8192, seed=(0, 1))  # fills the module caches
+        monkeypatch.setattr(_streams, "_spare", [])
         tracemalloc.start()
         try:
             run_noisy(circuit, quito, 8192, seed=(0, 0))
@@ -695,7 +731,7 @@ class TestStreams:
         with Block((1,), np.arange(100)) as block:
             assert block._work is work and not _streams._spare
             assert np.array_equal(block.step(2) * 2.0**-53, stream_matrix((1,), np.arange(100), [2])[:, 0])
-        over = _streams._SPARE_BYTES // (8 * _streams._WORK_ROWS + 1) + 1
+        over = _streams._SPARE_BYTES // (8 * _streams._WORK_ROWS) + 1
         with Block((0,), np.arange(over)):
             pass
         assert len(_streams._spare) == 1 and _streams._spare[0] is work
