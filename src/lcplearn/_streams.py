@@ -7,10 +7,8 @@ keeps some lanes' states at the current column and `ahead(m)` gives the
 doubles m columns past every held state.  A double is returned as the
 53 bits Generator.random keeps, so it is exactly their value times
 2^-53, and `threshold(p)` turns a probability into the integer those
-bits are compared with.  `iter_uniform(base, shots, columns)` is the
-float view for tests and `verify`: item j is the column whose entry i
-is, bit for bit,
-``np.random.default_rng((*base, shots[i])).random(columns[j] + 1)[-1]``.
+bits are compared with.  So ``block.step(c)[i] * 2.0**-53`` is, bit for
+bit, ``np.random.default_rng((*base, shots[i])).random(c + 1)[-1]``.
 
 numpy's SeedSequence (O'Neill's seed_seq_fe with a pool of four 32-bit
 words) turns the entropy words into a PCG64 seed and increment, PCG64
@@ -334,32 +332,6 @@ def _leave_work(work: np.ndarray) -> None:
     with _spare_lock:
         if work.nbytes <= _SPARE_BYTES and not (_spare and _spare[0].shape[1] >= work.shape[1]):
             _spare[:] = [work]
-
-
-def iter_uniform(base: tuple, shots, columns):
-    """An iterator over the requested columns of the streams of `shots`:
-    item j is the (len(shots),) float64 array of double number columns[j]
-    (from 0) of default_rng((*base, shot)) for each shot; a float view of
-    `Block.step`.
-
-    `shots` is a 1-D integer array of shot indices in 0..2^32-1, in any
-    order; `columns` is a strictly increasing sequence of non-negative
-    ints.  Both are checked here, before any seeding.  A gap-free set of
-    columns from 0 is the sequential stream.
-    """
-    columns = [int(c) for c in columns]
-    if columns and columns[0] < 0:
-        raise ValueError(f"stream columns must be non-negative, got {columns[0]}")
-    for a, b in zip(columns, columns[1:]):
-        if b <= a:
-            raise ValueError(f"stream columns must be strictly increasing, got {a} then {b}")
-    return _floats(Block(base, shots), columns)
-
-
-def _floats(block: Block, columns: list):
-    with block:
-        for column in columns:
-            yield block.step(column) * 2.0**-53
 
 
 def _seed(entropy: list, words: list) -> None:

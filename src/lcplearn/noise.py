@@ -33,21 +33,20 @@ quito demo circuit takes 0.9–1.3 ms (2-core Xeon VM, median over the
 12 demo secrets, three runs); under the quito profile it takes
 6.5–9.7 ms.
 
-The replay never runs a circuit per shot.  It simulates the noiseless
-circuit once per call; a shot in which no error fired samples its
-distribution.  A shot with errors is keyed by its fault pattern, the
-Pauli chosen at each fired gate, and each pattern is resimulated once
-per block: one sort of the block's pattern rows finds the distinct
-ones, which are resimulated together as one (2^width, 2^m) state array
-whose columns are the patterns, padded to a power of two as the m low
-qubits of one register.  It starts as |0...0> in every column, each
-gate is one kernel call over long contiguous blocks (X and CX a slice
-swap, every other gate a 2x2 product), and the columns that fault at a
-gate get their Paulis as one gather, an index XOR and a unit phase per
-amplitude.  Every amplitude
-takes the same values as in a run of its pattern on its own (up to the
-signs of zeros, which no probability sees), and every shot of the block
-with that pattern samples its distribution.
+The replay never runs a circuit per shot, and it has one simulator.  A
+shot is keyed by its fault pattern, the Pauli chosen at each fired gate;
+the noiseless circuit is the all-zero pattern, run once per call, and
+each other pattern is resimulated once per block: one sort of the
+block's pattern rows finds the distinct ones, which are resimulated
+together as one (2^width, 2^m) state array whose columns are the
+patterns, padded to a power of two as the m low qubits of one register.
+It starts as |0...0> in every column, each gate is one kernel call over
+long contiguous blocks (X and CX a slice swap, every other gate a 2x2
+product), and the columns that fault at a gate get their Paulis as one
+gather, an index XOR and a unit phase per amplitude, skipped where none
+does.  Every amplitude takes the same values as in a run of its pattern
+on its own (up to the signs of zeros, which no probability sees), and
+every shot of the block with that pattern samples its distribution.
 The fired gates, clean and faulty outcomes and readout flips of a block
 are found with array operations, so the histograms are bit-identical to
 a per-shot loop.
@@ -66,7 +65,9 @@ import numpy as np
 from . import _streams, kernels
 from .circuit import PERMUTATION_KINDS, Circuit, Gate, apply_gate, gate_matrix
 from .oracle import SecretString
-from .statevector import Statevector, check_dense_width, init_basis, simulate
+# simulate: read only by perfbench's tracer, which patches noise.simulate;
+# drop it with the next change to the benchmark.
+from .statevector import check_dense_width, init_basis, simulate  # noqa: F401
 from .synth import build_full_circuit
 from .transpile import CouplingGraph, transpile
 
@@ -198,7 +199,10 @@ class NoiseProfile:
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseProfile":
         """Load the document `to_dict` writes; raise ValueError for anything
-        but a JSON object whose fields have the right types."""
+        but a JSON object whose fields have the right types.  The readout
+        and sq lists need no bound of their own: the parsed JSON already
+        holds them, and the replay and `exact_distribution` read only a
+        circuit's first `width` entries."""
         if not isinstance(data, dict):
             raise ValueError(f"noise profile must be a JSON object, got {type(data).__name__}")
         cx_error = data.get("cx_error", {})
@@ -263,12 +267,6 @@ def _site_probabilities(circuit: Circuit, profile: NoiseProfile) -> np.ndarray:
     )
 
 
-def _cdf(state: Statevector) -> np.ndarray:
-    cum = np.cumsum(state.probabilities())
-    cum[-1] = 1.0
-    return cum
-
-
 @lru_cache(maxsize=4)
 def _indices(width: int) -> np.ndarray:
     return np.arange(1 << width)
@@ -306,18 +304,20 @@ def _hit(rows: np.ndarray, width: int, qubits: tuple, choice: np.ndarray) -> np.
 
 def _faulty_cdfs(circuit: Circuit, patterns: np.ndarray) -> np.ndarray:
     """Outcome CDFs of the fault patterns `patterns`, one per row: Pauli
-    choice patterns[i, k] after gate k, 0 where no error fired.  Each row
-    has at least one fault.  Choices 1..15 at a CX index the pair
-    (control, target) as divmod(choice, 4), 1..3 X, Y, Z at a
-    single-qubit gate.
+    choice patterns[i, k] after gate k, 0 where no error fired.  Choices
+    1..15 at a CX index the pair (control, target) as divmod(choice, 4),
+    1..3 X, Y, Z at a single-qubit gate.  The all-zero row is the
+    noiseless circuit; its CDF is, bit for bit, the cumulative sum of
+    `simulate(circuit)`'s probabilities with the last entry set to 1.
 
     All rows are resimulated together as one (2^width, 2^m) array whose
     columns are the rows padded to a power of two, so they are the m low
     qubits of one (width + m)-qubit register.  It starts as |0...0> in
     every column: gate k is one kernel call over long contiguous blocks,
     and the columns a fault hits at gate k get their Paulis as one gather
-    (`_hit`); each amplitude takes the same value as in a run of its
-    pattern on its own, up to the signs of zeros.
+    (`_hit`), skipped at a gate no row faults at; each amplitude takes the
+    same value as in a run of its pattern on its own, up to the signs of
+    zeros.
     """
     width = circuit.width
     chunk = 1 << max(0, (_BATCH_AMPLITUDES >> width).bit_length() - 1)
@@ -327,10 +327,11 @@ def _faulty_cdfs(circuit: Circuit, patterns: np.ndarray) -> np.ndarray:
         )
     m = (len(patterns) - 1).bit_length()
     states = np.repeat(init_basis(width, 0).amps[:, None], 1 << m, axis=1)
+    faulted = patterns.any(axis=0).tolist()
     for k, gate in enumerate(circuit.gates):
         apply_gate(states, width + m, gate)
-        at = np.flatnonzero(patterns[:, k])
-        if len(at):
+        if faulted[k]:
+            at = np.flatnonzero(patterns[:, k])
             states[:, at] = _hit(states[:, at].T, width, gate.qubits, patterns[at, k]).T
     cums = np.cumsum(np.abs(states[:, : len(patterns)].T) ** 2, axis=1)
     cums[:, -1] = 1.0
@@ -352,9 +353,10 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     word; seed elements must be non-negative.  Keys are the outcomes
     read, in ascending order.
 
-    Each block resimulates its distinct fault patterns, each once, in one
-    batched pass (`_faulty_cdfs`); a shot samples its pattern's CDF, or
-    the clean one when nothing fired.
+    `_faulty_cdfs` is the only simulator: it runs the noiseless circuit
+    once per call as the all-zero pattern, and each block's distinct
+    fault patterns, each once, in one batched pass; a shot samples its
+    pattern's CDF, or the noiseless one when nothing fired.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -376,7 +378,7 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
     # rates, and the Pauli draws of fired gates can change a count.  Fire
     # and readout draws are tested on their 53 bits (`_streams.threshold`).
     live = np.flatnonzero(site_prob > 0)
-    clean_cum = _cdf(simulate(circuit))
+    clean_cum = _faulty_cdfs(circuit, np.zeros((1, n_sites), np.uint8))[0]
     flips = np.flatnonzero(readout > 0)
     live_k = [_streams.threshold(p) for p in site_prob[live]]
     flip_k = [_streams.threshold(p) for p in readout[flips]]

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._streams import Block, iter_uniform
+from ._streams import Block
 from .circuit import CX, Circuit, Gate, serialize
 from .classical import min_external_path_length, verify_optimality
 from .noise import NoiseProfile, estimate_asp, exact_asp
@@ -342,6 +342,13 @@ def _random_circuit(rng, width: int, max_gates: int) -> Circuit:
     return Circuit(width, gates)
 
 
+def _stream_columns(base: tuple, shots, columns) -> np.ndarray:
+    """Row i, column j: double columns[j] of default_rng((*base, shots[i])),
+    stepped to by one `Block`."""
+    with Block(base, shots) as block:
+        return np.column_stack([block.step(c) * 2.0**-53 for c in columns])
+
+
 def suite_noise() -> list[CheckResult]:
     rows = []
     start = time.perf_counter()
@@ -394,7 +401,7 @@ def suite_noise() -> list[CheckResult]:
     # the replay's vectorized streams against the installed numpy, whose
     # SeedSequence, PCG64 and Generator.random define them
     same = np.array_equal(
-        np.column_stack(list(iter_uniform((99, 0), np.arange(64), range(61)))),
+        _stream_columns((99, 0), np.arange(64), range(61)),
         [np.random.default_rng((99, 0, k)).random(61) for k in range(64)],
     )
     rows.append(
@@ -408,7 +415,7 @@ def suite_noise() -> list[CheckResult]:
     column_sets = ([0], [5000], [0, 2, 3], [0, 1, 2, 70, 71], [3, 5, 6, 7, 140, 141, 300])
     same = all(
         np.array_equal(
-            np.column_stack(list(iter_uniform((99, 1), shots, columns))),
+            _stream_columns((99, 1), shots, columns),
             [np.random.default_rng((99, 1, int(k))).random(columns[-1] + 1)[columns] for k in shots],
         )
         for columns in column_sets

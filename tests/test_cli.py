@@ -1,10 +1,15 @@
+import argparse
+import contextlib
 import importlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcplearn import CouplingGraph, parse, synth
-from lcplearn.cli import main
+from lcplearn import CouplingGraph, NoiseProfile, SecretString, build_full_circuit, parse, serialize, synth
+from lcplearn.cli import build_parser, main
 
 transpile_module = importlib.import_module("lcplearn.transpile")
 
@@ -380,6 +385,24 @@ class TestAsp:
     def test_negative_seed_is_a_usage_error(self, capsys):
         assert refused(capsys, "asp", "--secret", "01", "--seed", "-1") == "asp: expected non-negative integer"
 
+    def test_long_profile_lists_give_the_counts_of_their_prefix(self, capsys, tmp_path):
+        """Readout and single-qubit lists of 100 000 entries load, and the
+        replay reads only the circuit's first five."""
+        quito = NoiseProfile.quito().to_dict()
+        padded = dict(quito, readout_error=quito["readout_error"] + [0.5] * 99_995)
+        padded["sq_error"] = quito["sq_error"] + [0.5] * 99_995
+        reports = []
+        for name, document in (("prefix", quito), ("padded", padded)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(document))
+            code, doc, _ = run_cli(
+                capsys, "asp", "--secret", "011", "--noise", str(path), "--trials", "2", "--shots", "1024", "--seed", "4"
+            )
+            assert code == 0
+            reports.append(doc["asp"])
+        assert reports[0] == reports[1]
+        assert reports[0]["mean"] < 1.0
+
     def test_malformed_noise_json(self, capsys, tmp_path):
         noise = tmp_path / "bad.json"
         noise.write_text("{\"cx_error\": {}}")
@@ -441,3 +464,144 @@ class TestVerify:
         code, doc, _ = run_cli(capsys, "verify", "--suite", "quantum", "--max-n", "5")
         assert code == 0
         assert all(check["passed"] for check in doc["checks"])
+
+
+# The CLI contract over the parser's own option table.  Each option draws
+# from a pool of good and malformed values named by its dest; an option
+# added without a pool fails the test.  Values stay cheap: at most 1024
+# shots and 3 trials, and only the verify suites that run in well under a
+# second (the others and `all` are tested in test_verify.py).  -h/--help
+# is argparse's own and prints usage on stdout, so it is not drawn.
+_SLOW_SUITES = ("all", "quantum", "transpile", "noise")
+
+
+def _option_table() -> dict:
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        for name, sub in commands.choices.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    files = {
+        "circuit.qasm": build_full_circuit(SecretString.from_string("011")),
+        "garbage.bin": b"\xff\xfe\x00 not text",
+        "bad.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[5];\n',
+        "empty.qasm": "",
+        "line5.json": {"qubits": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+        "badgraph.json": {"qubits": 3, "edges": [[0, 1], [1, 9]]},
+        "loose.json": {"qubits": 9, "edges": [[0, 1]]},
+        "noise.json": NoiseProfile.quito().to_dict(),
+        "nan.json": '{"readout_error": [NaN, 0, 0, 0, 0]}',
+        "inf.json": {"readout_error": [0.1] * 5, "cx_default": 1e309},
+        "range.json": {"readout_error": [1.5, 0, 0, 0, 0]},
+        "truncated.json": '{"readout_error": [0.1, ',
+    }
+    for name, content in files.items():
+        path = root / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif isinstance(content, str):
+            path.write_text(content)
+        elif isinstance(content, dict):
+            path.write_text(json.dumps(content))
+        else:
+            path.write_text(serialize(content))
+    return root
+
+
+def _value_pools(root) -> dict:
+    """Good and malformed values, drawn about equally often."""
+    files = lambda *names: [str(root / n) for n in names]
+    absent = str(root / "absent" / "x")
+    mixed = lambda good, bad: st.one_of(st.sampled_from(good), st.sampled_from(bad))
+    return {
+        "secret": st.one_of(
+            st.text("01", min_size=2, max_size=3), st.text("01", max_size=6), st.sampled_from(["2", "01x", "1" * 1025])
+        ),
+        "out": mixed([str(root / "out.qasm")], [absent, str(root)]),
+        "infile": mixed(files("circuit.qasm"), files("bad.qasm", "empty.qasm", "garbage.bin") + [absent, str(root)]),
+        "target": mixed(
+            ["quito"] + files("line5.json") + ["linear3"],
+            ["bogus", absent] + files("badgraph.json", "loose.json", "garbage.bin"),
+        ),
+        "mapping": mixed(["0,1,2,3", "4,3,2,1"], ["0,1", "-1,0,1,2", "0,x,1,2", "", "0,1,1,2"]),
+        "noise": mixed(
+            ["default", "quito"] + files("noise.json"),
+            [absent, str(root)] + files("nan.json", "inf.json", "range.json", "truncated.json", "line5.json", "garbage.bin"),
+        ),
+        "trials": mixed(["1", "3"], ["0", "-1", "x", "nan", "1e3"]),
+        "shots": mixed(["1", "64", "1024"], ["0", "-5", str(2**32 + 1), "nan", "inf"]),
+        "seed": mixed(["0", "7", str(2**70)], ["-1", "x"]),
+        "max_n": mixed(["1", "3"], ["0", "13", "-2", "x"]),
+    }
+
+
+@st.composite
+def _argv(draw, table, pools):
+    command = draw(st.sampled_from(sorted(table)))
+    argv = [command]
+    for action in table[command]:
+        flag = action.option_strings[-1]
+        # a missing --suite means all of them; other options are left out
+        # at random, a required one now and then
+        if action.dest != "suite" and not draw(st.integers(0, 9) if action.required else st.booleans()):
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if action.choices is not None:
+            good = [c for c in action.choices if c not in _SLOW_SUITES]
+            value = draw(st.sampled_from(good + ["bogus"]))
+        else:
+            value = draw(pools[action.dest])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "--opt=0", "stray"])))
+    return argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parses(argv) -> bool:
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_contract_holds_on_every_drawn_request(contract_files, data):
+    """Every run exits 0, 1 or 2 and writes nothing but one JSON document
+    to stdout.  Exit 0 prints that document.  Exit 2 prints nothing on
+    stdout; its stderr is one `<command>: ...` line, or, only when the
+    parser itself refuses the arguments, argparse's usage and error."""
+    argv = data.draw(_argv(_option_table(), _value_pools(contract_files)))
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), argv
+    if out:
+        doc = json.loads(out)
+        assert doc["command"] == argv[0], argv
+    if code == 0:
+        assert out, argv
+    if code == 2:
+        assert out == "", argv
+        if not _parses(argv):
+            assert err.startswith("usage: lcplearn") and ": error: " in err.splitlines()[-1], argv
+        else:
+            assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1 and err.endswith("\n"), argv

@@ -23,7 +23,7 @@ from lcplearn import (
     simulate,
 )
 from lcplearn import _streams, kernels, noise
-from lcplearn._streams import MAX_SHOTS, Block, iter_uniform, threshold
+from lcplearn._streams import MAX_SHOTS, Block, threshold
 from lcplearn.circuit import gate_matrix
 from lcplearn.noise import _BLOCK_SHOTS, _seed_tuple, _transpiled, exact_distribution
 
@@ -215,28 +215,44 @@ class TestRunNoisy:
         "profile", [NoiseProfile.zero(2), NoiseProfile({}, (0.0, 1.0), (0.0, 0.0))], ids=["zero", "readout-only"]
     )
     def test_no_live_site_resimulates_nothing(self, monkeypatch, profile):
-        """With no gate that can fault, no fault pattern is resimulated."""
+        """With no gate that can fault, no fault pattern is resimulated: the
+        one row `_faulty_cdfs` gets is the fault-free one, once per call
+        however many blocks the shots span."""
+        calls = []
+        faulty_cdfs = noise._faulty_cdfs
 
-        def fail(circuit, patterns):
-            raise AssertionError("fault patterns resimulated")
+        def spy(circuit, patterns):
+            calls.append(patterns.tolist())
+            return faulty_cdfs(circuit, patterns)
 
-        monkeypatch.setattr(noise, "_faulty_cdfs", fail)
-        assert sum(run_noisy(bell_circuit(), profile, shots=100, seed=1).values()) == 100
+        monkeypatch.setattr(noise, "_faulty_cdfs", spy)
+        shots = 2 * _BLOCK_SHOTS + 5
+        for seed in (1, 2):
+            assert sum(run_noisy(bell_circuit(), profile, shots, seed=seed).values()) == shots
+        assert calls == [[[0, 0]], [[0, 0]]]
 
     def test_one_simulate_call_per_run(self, monkeypatch):
-        """Under noise the clean distribution is one run of the circuit;
-        the faulty rows are resimulated without `simulate`."""
-        calls = []
+        """Under noise the clean distribution is one run of the circuit: the
+        all-zero row of exactly one `_faulty_cdfs` call, and `simulate` is
+        never called."""
 
-        def counted(circuit):
-            calls.append(circuit)
-            return simulate(circuit)
+        def fail(circuit):
+            raise AssertionError("simulate called")
 
-        monkeypatch.setattr(noise, "simulate", counted)
+        clean = []
+        faulty_cdfs = noise._faulty_cdfs
+
+        def spy(circ, patterns):
+            if not patterns.any(axis=1).all():
+                clean.append((circ, patterns.tolist()))
+            return faulty_cdfs(circ, patterns)
+
+        monkeypatch.setattr(noise, "simulate", fail)
+        monkeypatch.setattr(noise, "_faulty_cdfs", spy)
         circuit, _ = _transpiled("010")
         hist = run_noisy(circuit, NoiseProfile.quito(), shots=8192, seed=3)
         assert sum(hist.values()) == 8192
-        assert calls == [circuit]
+        assert clean == [(circuit, [[0] * len(circuit.gates)])]
 
     def test_certain_readout_flip(self):
         circuit = Circuit(2, [X(1)])
@@ -368,8 +384,9 @@ class TestBitIdentity:
         assert hist != run_noisy(circuit, NoiseProfile.zero(5), shots, seed=4)
 
     def test_each_block_resimulates_its_distinct_fault_rows_once(self, monkeypatch):
-        """Every `_faulty_cdfs` call gets the distinct fault patterns of one
-        block, each once: the rows default_rng's streams fire in it."""
+        """Every `_faulty_cdfs` call but the fault-free row's gets the
+        distinct fault patterns of one block, each once: the rows
+        default_rng's streams fire in it."""
         circuit, _ = _transpiled("101")
         profile = NoiseProfile.quito().scaled(cx=5, sq=50)
         site_prob = noise._site_probabilities(circuit, profile)
@@ -385,6 +402,7 @@ class TestBitIdentity:
         monkeypatch.setattr(noise, "_faulty_cdfs", spy)
         shots = 2 * _BLOCK_SHOTS + 5
         run_noisy(circuit, profile, shots, seed=4)
+        calls.remove([(0,) * n_sites])
         expected = []
         for start in range(0, shots, _BLOCK_SHOTS):
             rows = set()
@@ -509,6 +527,65 @@ class TestBatchedReplay:
         patterns[np.arange(rows), rng.integers(len(counts), size=rows)] = 1
         self._assert_rows_match(circuit, patterns)
 
+    @staticmethod
+    def _random_circuit(rng):
+        """1 to 6 qubits and up to 30 gates of every kind, CX from width 2."""
+        width = int(rng.integers(1, 7))
+        kinds = ["x", "z", "h", "sx", "rz"] + (["cx"] if width > 1 else [])
+        gates = []
+        for _ in range(int(rng.integers(1, 31))):
+            kind = str(rng.choice(kinds))
+            if kind == "cx":
+                gates.append(CX(*(int(q) for q in rng.choice(width, size=2, replace=False) + 1)))
+            elif kind == "rz":
+                gates.append(RZ(float(rng.uniform(-math.pi, math.pi)), int(rng.integers(1, width + 1))))
+            else:
+                gates.append(Gate(kind, (int(rng.integers(1, width + 1)),)))
+        return Circuit(width, gates)
+
+    def test_fault_free_row_equals_the_statevector_cdf(self):
+        """The all-zero row, which `run_noisy` samples for every shot in
+        which nothing fired, is byte-equal to the cumulative probabilities
+        of one `simulate` run, on the demo circuits and on random ones."""
+        rng = np.random.default_rng(27)
+        circuits = [_transpiled(text)[0] for text in DEMO_SECRETS]
+        circuits += [self._random_circuit(rng) for _ in range(200)]
+        for circuit in circuits:
+            expected = np.cumsum(simulate(circuit).probabilities())
+            expected[-1] = 1.0
+            (row,) = noise._faulty_cdfs(circuit, np.zeros((1, len(circuit.gates)), np.uint8))
+            assert row.tobytes() == expected.tobytes(), circuit
+
+    def test_paulis_gathered_only_at_faulted_gates(self, monkeypatch, circuit):
+        """`_hit` runs once at each gate some row faults at, on exactly the
+        rows faulting there, and never for the fault-free row."""
+        calls = []
+        hit = noise._hit
+
+        def spy(rows, width, qubits, choice):
+            calls.append((qubits, choice.tolist()))
+            return hit(rows, width, qubits, choice)
+
+        monkeypatch.setattr(noise, "_hit", spy)
+        noise._faulty_cdfs(circuit, np.zeros((1, len(circuit.gates)), np.uint8))
+        assert calls == []
+        cx = [k for k, g in enumerate(circuit.gates) if g.kind == "cx"]
+        patterns = np.array(
+            [
+                self._pattern(circuit, {}),
+                self._pattern(circuit, {cx[1]: 4, 0: 2}),
+                self._pattern(circuit, {cx[1]: 9}),
+                self._pattern(circuit, {cx[4]: 15}),
+            ],
+            dtype=np.uint8,
+        )
+        noise._faulty_cdfs(circuit, patterns)
+        expected = [
+            (circuit.gates[k].qubits, patterns[patterns[:, k] > 0, k].tolist())
+            for k in sorted({0, cx[1], cx[4]})
+        ]
+        assert calls == expected
+
     def test_pauli_gather_equals_the_kernels(self):
         """Every choice on every qubit and every ordered qubit pair of a
         random 3-qubit state, control above and below target."""
@@ -562,8 +639,10 @@ class TestBatchedReplay:
 
 
 def stream_matrix(base, shots, columns):
-    """Row i, column j: item j of `iter_uniform` at shot i."""
-    return np.column_stack(list(iter_uniform(base, np.asarray(shots), columns)))
+    """Row i, column j: double columns[j] of shot i's stream, stepped to by
+    one `Block`."""
+    with Block(base, np.asarray(shots)) as block:
+        return np.column_stack([block.step(c) * 2.0**-53 for c in columns])
 
 
 class TestStreams:
@@ -580,7 +659,7 @@ class TestStreams:
 
     def test_shot_index_past_32_bits_rejected(self):
         with pytest.raises(ValueError):
-            iter_uniform((0,), np.array([MAX_SHOTS - 1, MAX_SHOTS]), [0])
+            Block((0,), np.array([MAX_SHOTS - 1, MAX_SHOTS]))
 
     @pytest.mark.parametrize(
         "columns",
@@ -606,25 +685,26 @@ class TestStreams:
     )
     @pytest.mark.parametrize("base", [(0,), (2**40 + 5, 7)])
     def test_column_iterator_equals_default_rng(self, base, columns):
+        """Each step's bits, read before the next step overwrites them."""
         shots = [0, 2**31, 2**32 - 1]
-        drawn = list(iter_uniform(base, np.array(shots), columns))
-        assert len(drawn) == len(columns)
-        for c, column in zip(columns, drawn):
-            assert column.shape == (len(shots),) and column.dtype == np.float64
-            for shot, value in zip(shots, column):
-                assert value == np.random.default_rng((*base, shot)).random(c + 1)[-1]
+        with Block(base, np.array(shots)) as block:
+            for c in columns:
+                column = block.step(c)
+                assert column.shape == (len(shots),) and column.dtype == np.uint64
+                for shot, value in zip(shots, column * 2.0**-53):
+                    assert value == np.random.default_rng((*base, shot)).random(c + 1)[-1]
 
     @pytest.mark.parametrize(
         "base, shots, columns",
         [
             ((0,), [0, 1], [3, 2]),
             ((0,), [0, 1], [2, 2]),
-            ((0,), [0, 1], [-1, 2]),
-            ((0,), [0, MAX_SHOTS], [0]),
-            ((0,), [-1, 0], [0]),
-            ((0,), [[0, 1]], [0]),
-            ((0,), [0.0, 1.0], [0]),
-            ((3, -1), [0, 1], [0]),
+            ((0,), [0, 1], [-1]),
+            ((0,), [0, MAX_SHOTS], None),
+            ((0,), [-1, 0], None),
+            ((0,), [[0, 1]], None),
+            ((0,), [0.0, 1.0], None),
+            ((3, -1), [0, 1], None),
         ],
         ids=[
             "unsorted-column", "repeated-column", "negative-column", "shot-2^32", "negative-shot",
@@ -632,15 +712,25 @@ class TestStreams:
         ],
     )
     def test_malformed_request_rejected_before_any_seeding(self, monkeypatch, base, shots, columns):
-        """Every malformed request, bad seed words included, is refused
-        before any seeding."""
+        """Every malformed block, bad seed words included, is refused
+        before any seeding; a malformed column (the last of `columns`)
+        is refused by `step` before any lane moves."""
 
-        def no_work(entropy):
-            raise AssertionError("seeded streams for a refused request")
+        def no_work(*args):
+            raise AssertionError("worked on a refused request")
 
-        monkeypatch.setattr(_streams, "_pool", no_work)
-        with pytest.raises(ValueError):
-            iter_uniform(base, np.array(shots), columns)
+        if columns is None:
+            monkeypatch.setattr(_streams, "_pool", no_work)
+            with pytest.raises(ValueError):
+                Block(base, np.array(shots))
+            return
+        *valid, malformed = columns
+        with Block(base, np.array(shots)) as block:
+            for column in valid:
+                block.step(column)
+            monkeypatch.setattr(_streams, "_advance", no_work)
+            with pytest.raises(ValueError):
+                block.step(malformed)
 
     @staticmethod
     def _assert_ahead_equals_default_rng(base, shots, holds, m):
@@ -688,10 +778,11 @@ class TestStreams:
         open, each equal default_rng: no block seeds into arrays in use."""
         base = (5,)
         small, large = np.arange(3), np.array([2**32 - 1, 9, 400, 2**31])
-        pairs = zip(iter_uniform(base, small, range(4)), iter_uniform(base, large, range(4)))
-        for c, (a, b) in enumerate(pairs):
-            for shots, column in ((small, a), (large, b)):
-                assert np.array_equal(column, [np.random.default_rng((*base, k)).random(c + 1)[-1] for k in shots])
+        with Block(base, small) as a, Block(base, large) as b:
+            for c in range(4):
+                for shots, block in ((small, a), (large, b)):
+                    column = block.step(c) * 2.0**-53
+                    assert np.array_equal(column, [np.random.default_rng((*base, k)).random(c + 1)[-1] for k in shots])
         with Block(base, large) as outer:
             outer.step(3)
             with Block(base, small) as inner:
@@ -765,10 +856,10 @@ class TestStreams:
         assert (mult * state + plus * inc) % 2**128 == stepped
 
     def test_more_than_two_to_the_32_shots_rejected_before_any_work(self, monkeypatch):
-        def no_work(circuit):
+        def no_work(circuit, patterns):
             raise AssertionError("simulated a circuit for a refused shot count")
 
-        monkeypatch.setattr(noise, "simulate", no_work)
+        monkeypatch.setattr(noise, "_faulty_cdfs", no_work)
         with pytest.raises(ValueError, match=r"2\*\*32"):
             run_noisy(bell_circuit(), NoiseProfile.zero(2), MAX_SHOTS + 1)
         with pytest.raises(ValueError, match=r"2\*\*32"):
