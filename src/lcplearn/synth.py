@@ -75,6 +75,7 @@ def _gray_group(
     m = spectrum.width
     p_target = m - target
     n_controls = target - 1
+    cxs = [CX(target - 1 - p, target) for p in range(n_controls)]  # one shared gate per control
     gates: list[Gate] = []
     cur = 0  # control mask whose parity the target holds now
     for j in range(1 << n_controls):
@@ -89,12 +90,12 @@ def _gray_group(
         diff = cur ^ v
         for p in range(n_controls):
             if (diff >> p) & 1:
-                gates.append(CX(target - 1 - p, target))
+                gates.append(cxs[p])
         cur = v
         gates.append(RZ(-2.0 * coeff, target))
     for p in range(n_controls):
         if (cur >> p) & 1:
-            gates.append(CX(target - 1 - p, target))
+            gates.append(cxs[p])
     return gates
 
 

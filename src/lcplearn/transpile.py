@@ -183,12 +183,16 @@ class QubitMapping:
 def rewrite_to_device(circuit: Circuit) -> Circuit:
     """Rewrite into {CX, RZ, SX, X}: H -> RZ.SX.RZ, Z -> RZ(pi)."""
     gates: list[Gate] = []
+    expansions: dict[int, tuple[Gate, Gate, Gate]] = {}  # qubit -> its H's shared expansion
     for g in circuit.gates:
         if g.kind in DEVICE_GATES:
             gates.append(g)
         elif g.kind == "h":
             q = g.qubits[0]
-            gates.extend([RZ(math.pi / 2, q), SX(q), RZ(math.pi / 2, q)])
+            if q not in expansions:
+                rz = RZ(math.pi / 2, q)
+                expansions[q] = rz, SX(q), rz
+            gates.extend(expansions[q])
         elif g.kind == "z":
             gates.append(RZ(math.pi, g.qubits[0]))
         else:
@@ -214,7 +218,8 @@ def _merge_rz(gates: list[Gate]) -> bool:
     """
     changed = False
     i = 0
-    while i < len(gates):
+    n = len(gates)
+    while i < n:
         g = gates[i]
         if g.kind != "rz":
             i += 1
@@ -222,10 +227,11 @@ def _merge_rz(gates: list[Gate]) -> bool:
         q = g.qubits[0]
         if abs(_norm_angle(g.theta)) <= ZERO_ANGLE_TOL:
             del gates[i]
+            n -= 1
             changed = True
             continue
         merged = False
-        for j in range(i + 1, len(gates)):
+        for j in range(i + 1, n):
             other = gates[j]
             qubits = other.qubits
             if q not in qubits:
@@ -234,6 +240,7 @@ def _merge_rz(gates: list[Gate]) -> bool:
             if kind == "rz":
                 gates[i] = RZ(_norm_angle(g.theta + other.theta), q)
                 del gates[j]
+                n -= 1
                 changed = merged = True
                 break
             if kind != "z" and not (kind == "cx" and qubits[0] == q):
@@ -294,20 +301,22 @@ def _canonicalize_runs(gates: list[Gate]) -> bool:
     """
     changed = False
     i = 0
-    while i < len(gates):
+    n = len(gates)
+    while i < n:
         g = gates[i]
         if g.kind != "cx":
             i += 1
             continue
-        c, t = g.qubits
-        pair = (c, t)
+        pair = g.qubits
+        c, t = pair
         k = 1
         end = i + 1
-        while end < len(gates):
+        while end < n:
             nxt = gates[end]
-            if nxt.qubits == pair:  # only a CX has two qubits
+            qubits = nxt.qubits
+            if qubits == pair:  # only a CX has two qubits
                 k += 1
-            elif nxt.kind != "rz" or nxt.qubits[0] != t:
+            elif qubits[0] != t or nxt.kind != "rz":
                 break
             end += 1
         if k < 2:
@@ -316,10 +325,9 @@ def _canonicalize_runs(gates: list[Gate]) -> bool:
         start = i
         while start > 0 and gates[start - 1].kind == "rz" and gates[start - 1].qubits[0] == t:
             start -= 1
-        run = gates[start:end]
         even = odd = 0.0
         seen = 0
-        for h in run:
+        for h in gates[start:end]:
             if h.kind == "cx":
                 seen += 1
             elif seen % 2 == 0:
@@ -327,22 +335,22 @@ def _canonicalize_runs(gates: list[Gate]) -> bool:
             else:
                 odd += h.theta
         e, o = _norm_angle(even), _norm_angle(odd)
-        new_run: list[Gate] = []
-        if abs(e) > ZERO_ANGLE_TOL:
-            new_run.append(RZ(e, t))
+        keep_e, keep_o = abs(e) > ZERO_ANGLE_TOL, abs(o) > ZERO_ANGLE_TOL
+        if keep_e + (3 * keep_o if k % 2 == 0 else 1 + keep_o) >= end - start:
+            i = end  # not shorter: its gates are never built
+            continue
+        new_run = [RZ(e, t)] if keep_e else []
         if k % 2 == 0:
-            if abs(o) > ZERO_ANGLE_TOL:
-                new_run.extend([CX(c, t), RZ(o, t), CX(c, t)])
+            if keep_o:
+                new_run += [CX(c, t), RZ(o, t), CX(c, t)]
         else:
             new_run.append(CX(c, t))
-            if abs(o) > ZERO_ANGLE_TOL:
+            if keep_o:
                 new_run.append(RZ(o, t))
-        if len(new_run) < len(run):
-            gates[start:end] = new_run
-            changed = True
-            i = start + len(new_run)
-        else:
-            i = end
+        gates[start:end] = new_run
+        changed = True
+        n = len(gates)
+        i = start + len(new_run)
     return changed
 
 
@@ -424,8 +432,9 @@ def _route(circuit: Circuit, physical: tuple[int, ...], graph: CouplingGraph, ma
     physical[l-1], each CX replaced by its pair's ladder from
     `graph.routes`, reversed on every other repeat occurrence of the pair
     to expose pair cancellations to the optimizer.  Ladder gates are
-    reused; a placed single-qubit gate is built once per (gate index,
-    physical qubit) and kept in `mapped` for the other candidates."""
+    reused, and so is a single-qubit gate whose qubit does not move; one
+    that moves is built once per (gate index, physical qubit) and kept in
+    `mapped` for the other candidates."""
     routes = graph.routes
     gates: list[Gate] = []
     occurrence: dict[tuple[int, int], int] = {}
@@ -436,8 +445,9 @@ def _route(circuit: Circuit, physical: tuple[int, ...], graph: CouplingGraph, ma
             occurrence[pair] = seen + 1
             gates.extend(routes[pair][seen % 2])
             continue
-        p = physical[g.qubits[0] - 1]
-        gate = mapped.get((i, p))
+        q = g.qubits[0]
+        p = physical[q - 1]
+        gate = g if p + 1 == q else mapped.get((i, p))
         if gate is None:
             gate = mapped[i, p] = Gate(g.kind, (p + 1,), g.theta)
         gates.append(gate)

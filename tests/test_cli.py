@@ -590,7 +590,9 @@ def test_cli_contract_holds_on_every_drawn_request(contract_files, data):
     """Every run exits 0, 1 or 2 and writes nothing but one JSON document
     to stdout.  Exit 0 prints that document.  Exit 2 prints nothing on
     stdout; its stderr is one `<command>: ...` line, or, only when the
-    parser itself refuses the arguments, argparse's usage and error."""
+    parser itself refuses the arguments, argparse's usage and error.
+    `-h`/`--help` is not drawn: it is the one exit-0 path without a JSON
+    document, printing argparse's help text on stdout."""
     argv = data.draw(_argv(_option_table(), _value_pools(contract_files)))
     code, out, err = _run(argv)
     assert code in (0, 1, 2), argv

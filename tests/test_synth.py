@@ -163,6 +163,14 @@ class TestSynthDiagonal:
             gates = _gray_group(spectrum, target, COEFF_TOL)
             assert sum(g.kind == "cx" for g in gates) <= 1 << (target - 1)
 
+    def test_equal_cnots_are_one_shared_gate(self):
+        """Each (control, target) pair's CNOT is built once and repeated."""
+        oracle = synth_diagonal(oracle_diagonal(SecretString.from_string("011010"), 3))
+        cxs = [g for g in oracle.gates if g.kind == "cx"]
+        shared = {g.qubits: g for g in cxs}
+        assert len(cxs) == 510 and len(shared) == 36
+        assert all(g is shared[g.qubits] for g in cxs)
+
     def test_gate_level_matches_fast_path_on_random_states(self):
         """Cross-module check: synthesized circuit vs direct sign multiply."""
         rng = np.random.default_rng(14)

@@ -533,6 +533,64 @@ class TestPeepholeAgainstReference:
                 assert report.sweeps == sweeps
         assert fired == {rewrite.__name__ for rewrite in REFERENCE_PASSES}
 
+    def test_reference_passes_agree_on_the_n6_chain(self):
+        """The routed and rewritten n = 6 chain (s = 011010, identity-mapped
+        onto a 9-qubit line) gives the reference's gates, angle bits
+        included, after every pass of every sweep, so a divergence names
+        its pass; `optimize` then returns them in as many sweeps."""
+        circuit = build_full_circuit(SecretString.from_string("011010"))
+        graph = CouplingGraph.linear(circuit.width)
+        rewritten = rewrite_to_device(Circuit(circuit.width, _route(circuit, tuple(range(circuit.width)), graph, {})))
+        passes = (transpile_module._cancel_cx, transpile_module._merge_rz, transpile_module._canonicalize_runs)
+        gates, ref = list(rewritten.gates), list(rewritten.gates)
+        changed = True
+        while changed:
+            changed = False
+            for rewrite, reference in zip(passes, REFERENCE_PASSES):
+                fired = rewrite(gates)
+                assert fired == reference(ref), rewrite.__name__
+                assert exact(gates) == exact(ref), rewrite.__name__
+                changed |= fired
+        out, report = optimize(rewritten)
+        want, sweeps = reference_optimize(rewritten, set())
+        assert exact(out.gates) == exact(want)
+        assert report.sweeps == sweeps == 2
+
+
+class TestSharedGates:
+    """Gates are immutable values, so the compile builds one only where it
+    keeps a new gate and otherwise shares the objects it already has."""
+
+    @staticmethod
+    def forbid_gate_builds(monkeypatch):
+        def fail(*args):
+            raise AssertionError("a gate was built")
+
+        for name in ("CX", "RZ", "SX", "Gate"):
+            monkeypatch.setattr(transpile_module, name, fail)
+
+    def test_run_it_cannot_shorten_builds_no_gate(self, monkeypatch):
+        gates = [CX(1, 2), RZ(0.3, 2), CX(1, 2), RZ(0.4, 2)]
+        before = list(gates)
+        self.forbid_gate_builds(monkeypatch)
+        assert not transpile_module._canonicalize_runs(gates)
+        assert all(a is b for a, b in zip(gates, before, strict=True))
+
+    def test_identity_placement_keeps_the_input_gates(self, monkeypatch):
+        circuit = Circuit(3, [H(1), CX(1, 3), RZ(0.3, 3), X(2), CX(1, 3), SX(1), Z(2)])
+        graph = CouplingGraph.linear(3)
+        _route(circuit, (0, 1, 2), graph, {})  # builds both ladders of the (0, 2) pair
+        self.forbid_gate_builds(monkeypatch)
+        routed = _route(circuit, (0, 1, 2), graph, {})
+        singles = [g for g in circuit.gates if g.kind != "cx"]
+        assert all(a is b for a, b in zip((g for g in routed if g.kind != "cx"), singles, strict=True))
+
+    def test_hadamards_on_one_qubit_share_their_expansion(self):
+        out = rewrite_to_device(Circuit(2, [H(1), CX(1, 2), H(1), H(2)])).gates
+        assert all(a is b for a, b in zip(out[0:3], out[4:7], strict=True))
+        assert out[0] is out[2]
+        assert out[7:] == (RZ(math.pi / 2, 2), SX(2), RZ(math.pi / 2, 2))
+
 
 class TestTranspile:
     def test_n2_budget_on_linear3(self):
