@@ -12,7 +12,7 @@ from typing import NoReturn
 
 from .circuit import parse, serialize
 from .classical import MAX_EXHAUSTIVE_N, learn_classical
-from .noise import NoiseProfile, estimate_asp
+from .noise import NoiseProfile, estimate_asp, exact_asp
 from .oracle import QueryLedger, SecretString, make_teacher
 from .quantum import run_quantum_learn
 from .synth import _build
@@ -187,12 +187,13 @@ def _cmd_asp(args) -> int:
         report = estimate_asp(s, profile, trials=args.trials, shots=args.shots, seed=args.seed)
     except ValueError as exc:  # --trials, --shots or --seed out of range
         _refuse("asp", str(exc))
+    exact = exact_asp(s, profile)  # the density matrix of a 5-qubit compile: 4^5 entries
     _report(
         "asp",
         {"secret": str(s), "noise": args.noise, "trials": args.trials, "shots": args.shots, "seed": args.seed},
-        {"asp": report.to_dict()},
+        {"asp": {**report.to_dict(), "exact": exact, "z": report.z(exact)}},
     )
-    print(f"asp: mean {report.mean:.4f} +- {report.stddev:.4f}", file=sys.stderr)
+    print(f"asp: mean {report.mean:.4f} +- {report.stddev:.4f}, exact {exact:.4f}", file=sys.stderr)
     return 0
 
 

@@ -441,6 +441,15 @@ class AspReport:
             "stddev": self.stddev,
         }
 
+    def z(self, exact: float) -> float | None:
+        """The mean's distance from `exact` in binomial standard errors over
+        all trials x shots: 0.0 when that error is 0 and the mean equals
+        `exact`, None when it is 0 and they differ."""
+        error = math.sqrt(max(exact * (1.0 - exact), 0.0) / (self.trials * self.shots))
+        if error == 0.0:
+            return 0.0 if self.mean == exact else None
+        return (self.mean - exact) / error
+
 
 @lru_cache(maxsize=64)
 def _transpiled(secret: str):

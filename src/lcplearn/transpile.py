@@ -16,6 +16,7 @@ uses internal qubit p+1 for Qp, so the serialized q[p] is exactly Qp.
 import itertools
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -210,11 +211,23 @@ def _norm_angle(theta: float) -> float:
     return theta
 
 
-def _merge_rz(gates: list[Gate]) -> bool:
+def _edit(gates: list[Gate], marks: list[int] | None, start: int, end: int, new: list[Gate], types: int) -> int:
+    """gates[start:end] = new; returns len(gates).  Given `marks`, one per gate and a slot before gate 0,
+    the new gates and the one before them gain `types` (scans, as in `_roles`) and the marks dropped."""
+    gates[start:end] = new
+    if marks is not None:
+        for old in marks[start:end]:
+            types |= old
+        marks[start:end] = [types] * len(new)
+        marks[start - 1] |= types
+    return len(gates)
+
+
+def _merge_rz(gates: list[Gate], marks: list[int] | None = None) -> bool:
     """Merge rotation pairs through commuting intermediates; drop zeros.
 
     An RZ on q commutes with a Z on q and with a CX whose control is q;
-    any other gate on q (H included) blocks it.
+    any other gate on q (H included) blocks it.  Like the other passes, it keeps `marks` (see `_edit`).
     """
     changed = False
     i = 0
@@ -226,8 +239,7 @@ def _merge_rz(gates: list[Gate]) -> bool:
             continue
         q = g.qubits[0]
         if abs(_norm_angle(g.theta)) <= ZERO_ANGLE_TOL:
-            del gates[i]
-            n -= 1
+            n = _edit(gates, marks, i, i + 1, [], 2 << 2 * q)
             changed = True
             continue
         merged = False
@@ -240,6 +252,8 @@ def _merge_rz(gates: list[Gate]) -> bool:
             if kind == "rz":
                 gates[i] = RZ(_norm_angle(g.theta + other.theta), q)
                 del gates[j]
+                if marks:  # unmarked: the RZ left at i stops every scan that reached the one dropped
+                    marks[j - 1] |= marks.pop(j)
                 n -= 1
                 changed = merged = True
                 break
@@ -250,7 +264,7 @@ def _merge_rz(gates: list[Gate]) -> bool:
     return changed
 
 
-def _cancel_cx(gates: list[Gate]) -> bool:
+def _cancel_cx(gates: list[Gate], marks: list[int] | None = None) -> bool:
     """Cancel identical CNOT pairs through commuting intermediates.
 
     A gate commutes with CX(c, t) when it acts diagonally on c (Z, RZ, a
@@ -273,8 +287,8 @@ def _cancel_cx(gates: list[Gate]) -> bool:
             if other.kind == "cx":
                 c2, t2 = other.qubits
                 if c2 == c and t2 == t:
-                    del gates[j]
-                    del gates[i]
+                    _edit(gates, marks, j, j + 1, [], 2 << 2 * c | 3 << 2 * t)
+                    _edit(gates, marks, i, i + 1, [], 2 << 2 * c | 3 << 2 * t)
                     changed = cancelled = True
                     i = next((k for k in range(i - 1, -1, -1) if gates[k].kind == "cx"), 0)
                     break
@@ -292,7 +306,7 @@ def _cancel_cx(gates: list[Gate]) -> bool:
     return changed
 
 
-def _canonicalize_runs(gates: list[Gate]) -> bool:
+def _canonicalize_runs(gates: list[Gate], marks: list[int] | None = None) -> bool:
     """Resynthesize contiguous {CX(c,t), RZ(t)} words.
 
     Repeated exchange of target rotations across CNOT pairs sorts the
@@ -347,11 +361,54 @@ def _canonicalize_runs(gates: list[Gate]) -> bool:
             new_run.append(CX(c, t))
             if keep_o:
                 new_run.append(RZ(o, t))
-        gates[start:end] = new_run
+        n = _edit(gates, marks, start, end, new_run, 2 << 2 * c | 3 << 2 * t)
         changed = True
-        n = len(gates)
         i = start + len(new_run)
     return changed
+
+
+def _roles(g: Gate) -> tuple[int, int]:
+    """(the scans an anchor at `g` needs open, the scans `g` stops): bit 2w for scans needing
+    wire w diagonal (from an RZ on w or a CX controlled on w), 2w + 1 for those needing it X-like."""
+    if g.kind == "cx":
+        c, t = g.qubits
+        return 1 << 2 * c | 2 << 2 * t, 2 << 2 * c | 1 << 2 * t
+    w = 2 * g.qubits[0]
+    return (g.kind == "rz") << w, (2 if g.kind in ("z", "rz") else 1 if g.kind in ("x", "sx") else 3) << w
+
+
+def _settled(gates: list[Gate], marks: list[int], resynthesized: bool) -> bool:
+    """Whether a sweep would leave `gates`, as the sweep that wrote `marks` left them, unchanged: a pass
+    rewrites at an anchor it passed in that sweep only if a gate its scan reads has changed since, so the
+    passes run on spans around the marks, from each anchor whose scan of a marked type reaches a mark to
+    where those scans stop, widened to whole `_canonicalize_runs` words.  `_merge_rz` leaves nothing to
+    merge, so it and `_canonicalize_runs` can only rewrite again after `_canonicalize_runs` edits."""
+    joins = lambda a, b: {a.kind, b.kind} <= {"cx", "rz"} and a.qubits[-1] == b.qubits[-1]  # may share a word
+    held = bytearray(len(gates))
+    for k in itertools.compress(range(len(gates)), marks):
+        lo, want, stopped, pending = k, marks[k], 0, set()
+        for q in range(k, -1, -1):
+            needs, stops = _roles(gates[q])
+            if needs & want and not needs & stopped:
+                lo = q
+                pending.add(needs)
+            stopped |= stops
+            if not want & ~stopped:
+                break
+        hi, stopped = k + 1, 0
+        while pending and hi < len(gates):
+            stopped |= _roles(gates[hi])[1]
+            pending = {needs for needs in pending if not needs & stopped}
+            hi += 1
+        held[lo:hi] = b"\1" * (hi - lo)
+    for lo, hi in (m.span() for m in re.finditer(b"\1+", held)):
+        while lo > 0 and joins(gates[lo - 1], gates[lo]):
+            lo -= 1
+        while hi < len(gates) and joins(gates[hi - 1], gates[hi]):
+            hi += 1
+        if _cancel_cx(span := gates[lo:hi]) or resynthesized and (_merge_rz(span) or _canonicalize_runs(span)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -406,10 +463,12 @@ def optimize(circuit: Circuit) -> tuple[Circuit, PassReport]:
     """
     gates = list(circuit.gates)
     for sweep in range(1, MAX_SWEEPS + 1):
-        changed = _cancel_cx(gates)
-        changed |= _merge_rz(gates)
-        changed |= _canonicalize_runs(gates)
-        if not changed:
+        marks = [0] * (len(gates) + 1)
+        changed = _cancel_cx(gates, marks) | _merge_rz(gates, marks)
+        resynthesized = _canonicalize_runs(gates, marks)
+        changed |= resynthesized
+        if not changed or sweep < MAX_SWEEPS and _settled(gates, marks, resynthesized):
+            sweep += changed  # a settled sweep also counts the confirming sweep it makes needless
             break
     else:
         raise ValueError(f"peephole pass needs more than MAX_SWEEPS = {MAX_SWEEPS} sweeps")

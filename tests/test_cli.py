@@ -3,12 +3,23 @@ import contextlib
 import importlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcplearn import CouplingGraph, NoiseProfile, SecretString, build_full_circuit, parse, serialize, synth
+from lcplearn import (
+    CouplingGraph,
+    NoiseProfile,
+    SecretString,
+    build_full_circuit,
+    estimate_asp,
+    exact_asp,
+    parse,
+    serialize,
+    synth,
+)
 from lcplearn.cli import build_parser, main
 
 transpile_module = importlib.import_module("lcplearn.transpile")
@@ -371,6 +382,35 @@ class TestAsp:
         )
         assert code == 0
         assert 0.0 <= doc["asp"]["mean"] <= 1.0
+
+    def test_report_carries_the_exact_value_and_its_distance(self, capsys):
+        """`exact` is exact_asp under the profile used and `z` the mean's
+        distance from it in binomial standard errors over trials x shots;
+        the keys before them are the estimate's report, unchanged."""
+        args = ("asp", "--secret", "011", "--noise", "quito", "--trials", "2", "--shots", "512", "--seed", "3")
+        code, doc, err = run_cli(capsys, *args)
+        assert code == 0
+        s, quito = SecretString.from_string("011"), NoiseProfile.quito()
+        report = estimate_asp(s, quito, trials=2, shots=512, seed=3).to_dict()
+        exact = exact_asp(s, quito)
+        assert list(doc["asp"]) == [*report, "exact", "z"]
+        assert json.dumps({key: doc["asp"][key] for key in report}) == json.dumps(report)
+        assert doc["asp"]["exact"] == exact
+        assert doc["asp"]["z"] == pytest.approx((report["mean"] - exact) / math.sqrt(exact * (1 - exact) / 1024))
+        assert err.endswith(f", exact {exact:.4f}\n")
+
+    @pytest.mark.parametrize(
+        "secret,noise,exact,places",
+        [(text, "default", 1.0, 12) for text in ("00", "11", "010", "111")]
+        + [(text, "quito", 0.8664, 4) for text in ("01", "10")]
+        + [(text, "quito", 0.8559, 4) for text in ("001", "110")],
+    )
+    def test_exact_is_pinned(self, capsys, secret, noise, exact, places):
+        code, doc, _ = run_cli(capsys, "asp", "--secret", secret, "--noise", noise, "--trials", "1", "--shots", "64")
+        assert code == 0
+        assert round(doc["asp"]["exact"], places) == exact
+        if noise == "default":
+            assert doc["asp"]["mean"] == 1.0 and abs(doc["asp"]["z"]) < 1e-3
 
     def test_one_bit_secret_is_refused_in_one_line(self, capsys):
         assert refused(capsys, "asp", "--secret", "0") == (

@@ -12,6 +12,7 @@ from lcplearn import (
     H,
     RZ,
     X,
+    AspReport,
     Circuit,
     Gate,
     NoiseProfile,
@@ -872,6 +873,21 @@ class TestStreams:
             np.random.default_rng(base + (0,))
         with pytest.raises(ValueError, match="expected non-negative integer"):
             run_noisy(bell_circuit(), NoiseProfile.zero(2), 10, seed=seed)
+
+
+class TestAspZ:
+    @staticmethod
+    def report(mean):
+        return AspReport("01", trials=2, shots=50, per_trial=(mean, mean), mean=mean, stddev=0.0)
+
+    def test_binomial_standard_errors_over_all_shots(self):
+        assert self.report(0.6).z(0.5) == pytest.approx(0.1 / math.sqrt(0.25 / 100))
+        assert self.report(0.4).z(0.5) == pytest.approx(-0.1 / math.sqrt(0.25 / 100))
+
+    def test_certain_outcomes_have_no_error(self):
+        assert self.report(1.0).z(1.0) == 0.0
+        assert self.report(0.0).z(0.0) == 0.0
+        assert self.report(0.99).z(1.0) is None
 
 
 class TestExactAsp:

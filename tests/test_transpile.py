@@ -524,6 +524,7 @@ class TestPeepholeAgainstReference:
         the device rewrite."""
         rng = np.random.default_rng(1710)
         fired = set()
+        taking = []  # sweeps per compile
         for k in range(300):
             drawn = peephole_circuit(rng, 2 + k % 5)
             for circuit in (drawn, rewrite_to_device(drawn)):
@@ -531,7 +532,11 @@ class TestPeepholeAgainstReference:
                 want, sweeps = reference_optimize(circuit, fired)
                 assert exact(out.gates) == exact(want)
                 assert report.sweeps == sweeps
+                taking.append(sweeps)
         assert fired == {rewrite.__name__ for rewrite in REFERENCE_PASSES}
+        # a draw whose second sweep still rewrites takes the full-sweep path
+        # after a span check that changed
+        assert taking.count(3) >= 1
 
     def test_reference_passes_agree_on_the_n6_chain(self):
         """The routed and rewritten n = 6 chain (s = 011010, identity-mapped
@@ -555,6 +560,103 @@ class TestPeepholeAgainstReference:
         want, sweeps = reference_optimize(rewritten, set())
         assert exact(out.gates) == exact(want)
         assert report.sweeps == sweeps == 2
+
+
+PASS_NAMES = ("_cancel_cx", "_merge_rz", "_canonicalize_runs")
+
+
+def spy_on_passes(monkeypatch):
+    """Pass name -> the lengths of the gate lists it is called on, in order."""
+    lengths = {name: [] for name in PASS_NAMES}
+    for name in PASS_NAMES:
+
+        def spy(gates, marks=None, rewrite=getattr(transpile_module, name), seen=lengths[name]):
+            seen.append(len(gates))
+            return rewrite(gates, marks)
+
+        monkeypatch.setattr(transpile_module, name, spy)
+    return lengths
+
+
+class TestLocalFixedPoint:
+    """A sweep that rewrote something is confirmed by running the passes
+    on spans around its edits; a full sweep runs again only when a span
+    changes, and `sweeps` counts the confirmation either way."""
+
+    def test_chain_runs_each_pass_once_over_the_whole_list(self, monkeypatch):
+        """The routed and rewritten n = 6 chain (s = 011010, identity-mapped
+        onto a 9-qubit line): one full sweep, then the passes on spans
+        holding under a twentieth of the list."""
+        circuit = build_full_circuit(SecretString.from_string("011010"))
+        graph = CouplingGraph.linear(circuit.width)
+        rewritten = rewrite_to_device(Circuit(circuit.width, _route(circuit, tuple(range(circuit.width)), graph, {})))
+        want, sweeps = reference_optimize(rewritten, set())
+        lengths = spy_on_passes(monkeypatch)
+        out, report = optimize(rewritten)
+        assert exact(out.gates) == exact(want)
+        assert report.sweeps == sweeps == 2
+        for name, seen in lengths.items():
+            assert len([n for n in seen if n >= len(out)]) == 1, name
+            spans = [n for n in seen if n < len(out)]
+            assert spans and sum(spans) < len(out) // 20, name
+
+    def test_rewrite_far_from_the_edit_that_enables_it(self, monkeypatch):
+        """The rotations merge to zero and are dropped, which lets the CXs
+        around them cancel.  The CX that cancels sits 200 gates before
+        the edit, so the span reaches back to it, changes, and the full
+        sweep runs again."""
+        circuit = Circuit(4, [CX(1, 2)] + [H(3), H(4)] * 100 + [RZ(0.5, 2), RZ(-0.5, 2), CX(1, 2)])
+        want, sweeps = reference_optimize(circuit, set())
+        lengths = spy_on_passes(monkeypatch)
+        out, report = optimize(circuit)
+        assert exact(out.gates) == exact(want) == exact([H(3), H(4)] * 100)
+        assert report.sweeps == sweeps == 3
+        # sweep 1, the span check over all 202 gates left, then sweep 2
+        assert lengths["_cancel_cx"][:3] == [204, 202, 202]
+        assert lengths["_merge_rz"] == [204, 200]
+
+    def test_sweep_cap_boundary_is_unchanged(self, monkeypatch):
+        """A circuit that settles in 3 sweeps is refused under a cap of 2
+        and compiled under a cap of 3, as the full loop did: a span check
+        never runs after the last sweep the cap allows."""
+        circuit = Circuit(3, [CX(1, 2), X(3), RZ(0.5, 2), RZ(-0.5, 2), CX(1, 2)])
+        out, report = optimize(circuit)
+        assert out.gates == (X(3),) and report.sweeps == 3
+        monkeypatch.setattr(transpile_module, "MAX_SWEEPS", 2)
+        with pytest.raises(ValueError, match=r"needs more than MAX_SWEEPS = 2 sweeps"):
+            optimize(circuit)
+        monkeypatch.setattr(transpile_module, "MAX_SWEEPS", 3)
+        assert optimize(circuit)[1].sweeps == 3
+        merge = Circuit(1, [RZ(0.5, 1), RZ(0.5, 1)])
+        monkeypatch.setattr(transpile_module, "MAX_SWEEPS", 1)
+        with pytest.raises(ValueError, match=r"needs more than MAX_SWEEPS = 1 sweeps"):
+            optimize(merge)
+        monkeypatch.setattr(transpile_module, "MAX_SWEEPS", 2)
+        assert optimize(merge)[1].sweeps == 2
+
+    def test_settled_agrees_with_one_more_full_sweep(self):
+        """After every sweep that rewrote something, on 300 random circuits
+        as drawn and after the device rewrite, `_settled` holds exactly
+        when a sweep of the reference passes would change nothing; the
+        marks stay one per gate plus the slot before gate 0."""
+        rng = np.random.default_rng(29)
+        verdicts = []
+        for k in range(300):
+            drawn = peephole_circuit(rng, 2 + k % 5)
+            for circuit in (drawn, rewrite_to_device(drawn)):
+                gates = list(circuit.gates)
+                while True:
+                    marks = [0] * (len(gates) + 1)
+                    changed = transpile_module._cancel_cx(gates, marks) | transpile_module._merge_rz(gates, marks)
+                    resynthesized = transpile_module._canonicalize_runs(gates, marks)
+                    if not changed | resynthesized:
+                        break
+                    assert len(marks) == len(gates) + 1
+                    copy = list(gates)
+                    still = any([rewrite(copy) for rewrite in REFERENCE_PASSES])
+                    verdicts.append(transpile_module._settled(gates, marks, resynthesized))
+                    assert verdicts[-1] == (not still)
+        assert True in verdicts and False in verdicts
 
 
 class TestSharedGates:

@@ -32,6 +32,7 @@ def test_noise_suite_all_green():
     rows = suite_noise()
     assert rows and all(r.passed for r in rows)
     assert any("exact density matrix" in r.name for r in rows)
+    assert any(r.name == "quito asp 5x8192 (seed 0) within |z| <= 4.0 of exact_asp" for r in rows)
     assert any(r.name == "exact asp strictly decreasing in each error family" for r in rows)
     assert any(r.name == "shot streams equal numpy default_rng" for r in rows)
     gapped = next(r for r in rows if r.name == "gapped stream columns equal numpy default_rng")
