@@ -105,7 +105,7 @@ class Circuit:
         if self.width < 1:
             raise ValueError("circuit width must be >= 1")
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.gates and max(chain.from_iterable(map(_QUBITS, self.gates))) > self.width:
+        if self.gates and max(chain.from_iterable(set(map(_QUBITS, self.gates)))) > self.width:
             for g in self.gates:  # name the first gate out of range
                 if any(q > self.width for q in g.qubits):
                     raise ValueError(f"gate {g} out of range for width {self.width}")

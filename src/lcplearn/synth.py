@@ -71,31 +71,27 @@ def _gray_group(
     are jumped over.  The jumped walk visits a subsequence of a cyclic
     Gray code from 0 back to 0, so by the triangle inequality for Hamming
     distance it never needs more CNOTs than the full walk's 2^controls.
+    The codes, their masks and the zero test are arrays over one gather
+    of coefficients; the walk visits only the kept codes, emitting a CNOT
+    for each control bit that flips, lowest first.
     """
-    m = spectrum.width
-    p_target = m - target
-    n_controls = target - 1
-    cxs = [CX(target - 1 - p, target) for p in range(n_controls)]  # one shared gate per control
+    cxs = [CX(target - 1 - p, target) for p in range(target - 1)]  # one shared gate per control
+    codes = np.arange(1 << (target - 1))
+    codes ^= codes >> 1
+    coeffs = spectrum.coefficients[(2 * codes + 1) << (spectrum.width - target)]  # target bit under the codes
+    kept = ~(np.abs(coeffs) <= tol)
     gates: list[Gate] = []
     cur = 0  # control mask whose parity the target holds now
-    for j in range(1 << n_controls):
-        v = j ^ (j >> 1)
-        w = 1 << p_target
-        for p in range(n_controls):
-            if (v >> p) & 1:
-                w |= 1 << (p_target + 1 + p)
-        coeff = spectrum.coefficients[w]
-        if abs(coeff) <= tol:
-            continue
+    # the walk closes at code 0 with no rotation, clearing the parity
+    for v, coeff in zip(codes[kept].tolist() + [0], coeffs[kept].tolist() + [None]):
         diff = cur ^ v
-        for p in range(n_controls):
-            if (diff >> p) & 1:
-                gates.append(cxs[p])
+        while diff:
+            low = diff & -diff
+            gates.append(cxs[low.bit_length() - 1])
+            diff ^= low
         cur = v
-        gates.append(RZ(-2.0 * coeff, target))
-    for p in range(n_controls):
-        if (cur >> p) & 1:
-            gates.append(cxs[p])
+        if coeff is not None:
+            gates.append(RZ(-2.0 * coeff, target))
     return gates
 
 

@@ -7,7 +7,10 @@ peephole-optimize to a fixed point.  Every pass preserves the unitary
 up to global phase and never increases the gate count.  `transpile`
 runs the whole pipeline on each of a list of candidate mappings, the
 given mapping alone or every injective one, and returns the best
-candidate's compile.
+candidate's compile.  Its report counts the gates of the input and
+final circuits only: routing changes only CXs and rewriting only H and
+Z, so the route and rewrite counts follow by arithmetic (their depths
+still scan the stage circuits).
 
 Physical qubits are 0-based (Q0, Q1, ...); a physical circuit of width P
 uses internal qubit p+1 for Qp, so the serialized q[p] is exactly Qp.
@@ -481,9 +484,12 @@ def optimize(circuit: Circuit) -> tuple[Circuit, PassReport]:
 
 def check_legal(circuit: Circuit, graph: CouplingGraph) -> tuple[bool, bool]:
     """(gate set legal, every CX on a coupling edge)."""
-    kinds_ok = DEVICE_GATES.issuperset(map(_KIND, circuit.gates))
+    return DEVICE_GATES.issuperset(map(_KIND, circuit.gates)), _on_edges(circuit, graph)
+
+
+def _on_edges(circuit: Circuit, graph: CouplingGraph) -> bool:
     pairs = {g.qubits for g in circuit.gates if g.kind == "cx"}
-    return kinds_ok, all(graph.has_edge(c - 1, t - 1) for c, t in pairs)
+    return all(graph.has_edge(c - 1, t - 1) for c, t in pairs)
 
 
 def _route(circuit: Circuit, physical: tuple[int, ...], graph: CouplingGraph, mapped: dict) -> list[Gate]:
@@ -581,10 +587,15 @@ def transpile(
             best_score = score
         best = physical, opt_report.sweeps, (routed, rewritten, final)
 
-    physical, sweeps, stages = best
-    final = stages[-1]
-    # placing relabels qubits injectively, which keeps gate counts and depth
+    physical, sweeps, (routed, rewritten, final) = best
+    # placing relabels qubits injectively, which keeps gate counts and depth; routing changes only the
+    # CXs and rewriting only H (to RZ.SX.RZ) and Z (to RZ), so their counts follow from the input's
     given = StageRecord.of("input", circuit)
-    records = [given, StageRecord("map", dict(given.counts), given.depth)]
-    records += [StageRecord.of(name, c) for name, c in zip(("route", "rewrite", "optimize"), stages)]
-    return final, PassReport(records, physical, *check_legal(final, graph), sweeps)
+    counts = given.counts
+    route = dict(counts, cx=len(routed) - (len(circuit) - counts["cx"]))
+    h = counts["h"]
+    rewrite = dict(route, h=0, z=0, sx=counts["sx"] + h, rz=counts["rz"] + 2 * h + counts["z"])
+    records = [given, StageRecord("map", dict(counts), given.depth), StageRecord("route", route, routed.depth())]
+    records += [StageRecord("rewrite", rewrite, rewritten.depth()), StageRecord.of("optimize", final)]
+    legal_gate_set = not any(n for kind, n in records[-1].counts.items() if kind not in DEVICE_GATES)
+    return final, PassReport(records, physical, legal_gate_set, _on_edges(final, graph), sweeps)

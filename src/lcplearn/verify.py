@@ -21,7 +21,7 @@ from .oracle import SecretString, oracle_diagonal
 from .quantum import CertificationError, _classical_tail, certify_round, run_quantum_learn
 from .statevector import _equal_up_to_phase, simulate
 from .synth import build_full_circuit, synth_diagonal
-from .transpile import CouplingGraph, QubitMapping, check_legal, optimize, rewrite_to_device, transpile
+from .transpile import CouplingGraph, QubitMapping, _route, check_legal, optimize, rewrite_to_device, transpile
 
 SUITES = ("classical", "quantum", "synth", "transpile", "noise")
 
@@ -233,11 +233,13 @@ def suite_transpile() -> list[CheckResult]:
 
     ok = True
     budget_row = None
+    compiles = []
     for text in DEMO_SECRETS:
         s = SecretString.from_string(text)
         graph = linear3 if s.n == 2 else quito
         circuit = build_full_circuit(s)
         final, report = transpile(circuit, graph)
+        compiles.append((circuit, graph, final, report))
         legal_gates, legal_edges = check_legal(final, graph)
         if not (legal_gates and legal_edges and _recovers_secret(final, report.mapping, s)):
             ok = False
@@ -253,6 +255,15 @@ def suite_transpile() -> list[CheckResult]:
             )
     rows.append(CheckResult("demo instances transpile legal and recover", ok, "12 instances"))
     rows.append(budget_row)
+    chain = build_full_circuit(SecretString.from_string("0110"))
+    line = CouplingGraph.linear(chain.width)
+    compiles.append((chain, line, *transpile(chain, line, QubitMapping.identity(chain.width))))
+    matched = True
+    for circuit, graph, final, report in compiles:  # each record against its stage rebuilt from the mapping
+        routed = Circuit(graph.num_qubits, _route(circuit, report.mapping, graph, {}))
+        stages = (circuit, circuit, routed, rewrite_to_device(routed), final)
+        matched &= [(r.counts, r.depth) for r in report.stages] == [(c.gate_counts(), c.depth()) for c in stages]
+    rows.append(CheckResult("stage records match the stage circuits", matched, f"{len(compiles)} compiles"))
     rows.append(_routing_row())
     rows.append(_keyed_search_row())
 

@@ -39,6 +39,14 @@ class TestGateValidation:
         with pytest.raises(ValueError, match=r"^gate CX\(2, 4\) out of range for width 3$"):
             Circuit(3, [X(1)] * 100 + [CX(2, 4)])
 
+    def test_late_shared_out_of_range_gate_is_named(self):
+        """The check reads each distinct qubit tuple once; a shared gate
+        object repeated late in a long circuit is still the one named."""
+        bad = CX(4, 6)
+        gates = [H(1), CX(1, 2), RZ(0.25, 3), CX(2, 5)] * 2000 + [bad] * 50 + [X(2)] * 10
+        with pytest.raises(ValueError, match=r"^gate CX\(4, 6\) out of range for width 5$"):
+            Circuit(5, gates)
+
 
 class TestDepth:
     def test_empty(self):

@@ -68,6 +68,41 @@ def scalar_walsh_transform(values):
     return values
 
 
+def per_bit_gray_group(spectrum, target, tol):
+    """The Gray walk as one Python step per code and per control bit: the
+    reference the array walk of `_gray_group` must match gate for gate."""
+    m = spectrum.width
+    p_target = m - target
+    n_controls = target - 1
+    cxs = [CX(target - 1 - p, target) for p in range(n_controls)]
+    gates = []
+    cur = 0
+    for j in range(1 << n_controls):
+        v = j ^ (j >> 1)
+        w = 1 << p_target
+        for p in range(n_controls):
+            if (v >> p) & 1:
+                w |= 1 << (p_target + 1 + p)
+        coeff = spectrum.coefficients[w]
+        if abs(coeff) <= tol:
+            continue
+        diff = cur ^ v
+        for p in range(n_controls):
+            if (diff >> p) & 1:
+                gates.append(cxs[p])
+        cur = v
+        gates.append(RZ(-2.0 * coeff, target))
+    for p in range(n_controls):
+        if (cur >> p) & 1:
+            gates.append(cxs[p])
+    return gates
+
+
+def gate_bits(gates):
+    """Each gate's kind, qubits and exact angle bits."""
+    return [(g.kind, g.qubits, None if g.theta is None else g.theta.hex()) for g in gates]
+
+
 def all_secrets(n):
     for value in range(1 << n):
         yield SecretString(tuple((value >> (n - 1 - j)) & 1 for j in range(n)))
@@ -162,6 +197,33 @@ class TestSynthDiagonal:
         for target in range(1, m + 1):
             gates = _gray_group(spectrum, target, COEFF_TOL)
             assert sum(g.kind == "cx" for g in gates) <= 1 << (target - 1)
+
+    def test_array_walk_matches_the_per_bit_walk(self):
+        """On random +-1 diagonals of width 1..10 the array walk emits the
+        per-bit walk's gates: kinds, qubits and angle bits."""
+        rng = np.random.default_rng(30)
+        for m in list(range(1, 11)) * 4:
+            signs = rng.choice([-1.0, 1.0], size=1 << m)
+            spectrum = walsh_decompose(signs)
+            want = [g for t in range(1, m + 1) for g in per_bit_gray_group(spectrum, t, COEFF_TOL)]
+            assert gate_bits(synth_diagonal(signs).gates) == gate_bits(want)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 6])
+    def test_coefficients_at_the_tolerance_skip_as_before(self, m):
+        """Exact zeros of either sign and coefficients at exactly +-tol are
+        skipped; one ulp past tol is kept, one ulp under it skipped."""
+        past = np.nextafter(COEFF_TOL, 1.0)
+        under = np.nextafter(COEFF_TOL, 0.0)
+        cycle = [0.0, -0.0, COEFF_TOL, -COEFF_TOL, past, -past, under, -under, 0.75]
+        coefficients = np.array([cycle[w % len(cycle)] for w in range(1 << m)])
+        spectrum = WalshSpectrum(m, coefficients)
+        angles = []
+        for target in range(1, m + 1):
+            gates = _gray_group(spectrum, target, COEFF_TOL)
+            assert gate_bits(gates) == gate_bits(per_bit_gray_group(spectrum, target, COEFF_TOL))
+            angles += [g.theta for g in gates if g.kind == "rz"]
+        kept = [c for c in coefficients[1:] if abs(c) > COEFF_TOL]
+        assert sorted(angles) == sorted(-2.0 * c for c in kept)
 
     def test_equal_cnots_are_one_shared_gate(self):
         """Each (control, target) pair's CNOT is built once and repeated."""

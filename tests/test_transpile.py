@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcplearn import (
     CX,
@@ -767,6 +769,49 @@ class TestTranspile:
         assert as_dict["legal_gate_set"] and as_dict["legal_coupling"]
 
 
+@st.composite
+def record_circuits(draw):
+    """A circuit of up to 60 gates of all six kinds on 1..5 qubits."""
+    width = draw(st.integers(1, 5), label="width")
+    kinds = ["x", "z", "h", "sx", "rz"] + (["cx"] if width > 1 else [])
+    qubit = st.integers(1, width)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=60), label="kinds"):
+        if kind == "cx":
+            gates.append(CX(*draw(st.lists(qubit, min_size=2, max_size=2, unique=True))))
+        elif kind == "rz":
+            gates.append(RZ(draw(st.floats(-math.pi, math.pi)), draw(qubit)))
+        else:
+            gates.append(Gate(kind, (draw(qubit),)))
+    return Circuit(width, gates)
+
+
+class TestStageRecords:
+    """The route and rewrite records' counts are derived from the input's, not scanned; each record
+    must still describe its stage's circuit, and the legality flags the final circuit."""
+
+    @given(
+        circuit=record_circuits(),
+        device=st.sampled_from(["quito", "line", "ring6"]),
+        order=st.one_of(st.none(), st.permutations(range(6))),
+    )
+    @example(
+        circuit=Circuit(3, [SX(1), H(1), RZ(0.3, 1), Z(2), X(2), H(2), CX(1, 3), Z(3), SX(3), H(3)]),
+        device="quito",
+        order=[4, 3, 1, 0, 2, 5],
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_records_match_the_stage_circuits(self, circuit, device, order):
+        """Auto-mapped (no order) or mapped onto the first qubits of `order` on the device."""
+        graph = {"quito": QUITO, "line": CouplingGraph.linear(circuit.width), "ring6": RING6}[device]
+        mapping = None if order is None else QubitMapping([p for p in order if p < graph.num_qubits][: circuit.width])
+        final, report = transpile(circuit, graph, mapping)
+        routed = Circuit(graph.num_qubits, _route(circuit, report.mapping, graph, {}))
+        stages = [circuit, circuit, routed, rewrite_to_device(routed), final]
+        assert [(r.counts, r.depth) for r in report.stages] == [(c.gate_counts(), c.depth()) for c in stages]
+        assert (report.legal_gate_set, report.legal_coupling) == check_legal(final, graph)
+
+
 DEMO_COMPILES = [(text, "linear3") for text in ("00", "01", "10", "11")] + [
     (text, "quito") for text in ("00", "01", "10", "11", "000", "001", "010", "011", "100", "101", "110", "111")
 ]
@@ -849,8 +894,10 @@ class TestMappingSearch:
         assert report.mapping == (0, 1)
 
     def test_stage_records_built_for_the_winner_only(self, monkeypatch):
-        """One record per pass of the winner; the map record reuses the
-        input's, since placing keeps gate counts and depth."""
+        """One record per pass of the winner, and only the input and the
+        final circuit are scanned: the map record reuses the input's, since
+        placing keeps gate counts and depth, and the route and rewrite
+        counts follow from the input's by arithmetic."""
         built = []
         original = StageRecord.of
 
@@ -860,9 +907,8 @@ class TestMappingSearch:
 
         monkeypatch.setattr(StageRecord, "of", counting)
         _, report = transpile(build_full_circuit(SecretString.from_string("101")), QUITO)
-        names = ["input", "map", "route", "rewrite", "optimize"]
-        assert built == [name for name in names if name != "map"]
-        assert [s.name for s in report.stages] == names
+        assert built == ["input", "optimize"]
+        assert [s.name for s in report.stages] == ["input", "map", "route", "rewrite", "optimize"]
 
     def test_explicit_compile_takes_one_depth_pass_per_record(self, monkeypatch):
         """input and map share one depth pass: 4 passes for 5 records."""
