@@ -29,16 +29,15 @@ costs two 128-bit multiplies, however long it is; held states taken at
 different columns all move m columns on in one jump, since the jump's
 constants are the same for every lane and each state takes its own
 lane's increment.  The steps run in place on the rows of one uint64
-work array, which a finished block leaves to the next (`_spare`).  On
-a 2-core Xeon VM (three runs) an 8192-shot block of one column takes
-0.4–0.6 ms; the one pass of a quito demo circuit, 27 fire columns at a
-1 % rate with their fired lanes held, the measurement column, 5 readout
-columns and the jump to the held lanes' Pauli draws, 3.8–5.2 ms; and
-all 60 columns of its stream 7.5–9.7 ms.
+work array that each block allocates for itself.  On a 2-core Xeon VM
+(three runs) an 8192-shot block of one column takes 0.4–0.6 ms; the
+one pass of a quito demo circuit, 27 fire columns at a 1 % rate with
+their fired lanes held, the measurement column, 5 readout columns and
+the jump to the held lanes' Pauli draws, 3.8–5.2 ms; and all 60 columns
+of its stream 7.5–9.7 ms.
 """
 
 import math
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -222,10 +221,8 @@ class Block:
     column; `ahead(m)` returns the draws m columns past every held
     state.  Lane i is shot shots[i] of the stream default_rng((*base,
     shot)); shots are 0..2^32-1 in any order, and base's words are
-    non-negative.  Both are checked before any seeding.
-
-    Used as a context manager, a block leaves its work array on exit for
-    the next block to seed into (`_spare`), and may not be used after.
+    non-negative.  Both are checked before any seeding.  A block owns its
+    work array, which goes when the block does.
     """
 
     def __init__(self, base: tuple, shots):
@@ -234,21 +231,11 @@ class Block:
         entropy.append(shots.astype(_U32))
         # every step works in place: with a fresh array per operation the 33
         # columns of an 8192-shot quito block took 11-13 ms instead of 5-6 ms
-        n = len(shots)
-        self._work = _take_work(n)
-        rows = list(self._work[:, :n])
+        rows = list(np.empty((_WORK_ROWS, len(shots)), dtype=_U64))
         self._hi, self._lo, self._inc_hi, self._inc_lo, *self._scratch = rows
         _seed(entropy, rows)
         self._position = -2
         self._held = []
-
-    def __enter__(self) -> "Block":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _leave_work(self._work)
-        # the arrays may now be another block's
-        self._work = self._hi = self._lo = self._inc_hi = self._inc_lo = self._scratch = None
 
     def step(self, column: int) -> np.ndarray:
         """The top 53 bits of every lane's double number `column` (from
@@ -307,31 +294,6 @@ def _advance(hi, lo, inc_hi, inc_lo, mult: int, plus: int, scratch: list) -> Non
 # A block's work array: its state and increment words, six scratch rows
 # and `_add128`'s carry, one uint64 row each, 88 bytes a lane.
 _WORK_ROWS = 11
-# The work array one finished block leaves for the next, the largest
-# returned of at most this many bytes (11 915 lanes; the noise replay's
-# blocks are 8192).  With fresh arrays for every block, the allocator
-# gave the freed heap top back to the system and the next block faulted
-# it in again: in the noise benchmark's alternating trials a zero-noise
-# trial took about 130 page faults and a quarter of its time in them.
-_SPARE_BYTES = 1 << 20
-_spare: list = []
-_spare_lock = threading.Lock()
-
-
-def _take_work(n: int) -> np.ndarray:
-    """A work array of at least n lanes: the spare one if it is large enough."""
-    with _spare_lock:
-        if _spare and _spare[0].shape[1] >= n:
-            return _spare.pop()
-    return np.empty((_WORK_ROWS, n), dtype=_U64)
-
-
-def _leave_work(work: np.ndarray) -> None:
-    """Keep `work` as the spare array unless it is over budget or the
-    spare one is at least as large."""
-    with _spare_lock:
-        if work.nbytes <= _SPARE_BYTES and not (_spare and _spare[0].shape[1] >= work.shape[1]):
-            _spare[:] = [work]
 
 
 def _seed(entropy: list, words: list) -> None:

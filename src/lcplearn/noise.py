@@ -389,17 +389,20 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, shots: int, seed=0) -> di
         # one pass over the drawn columns in stream order; each fire column
         # keeps the states of the lanes it fired in, whose Pauli draw is the
         # same stream n_sites columns on
-        with _streams.Block(base, np.arange(start, start + rows)) as block:
-            hit = []
-            for site, k in zip(live, live_k):
-                lanes = np.flatnonzero(block.step(site) < k)
-                block.hold(lanes)
-                hit.append(lanes)
-            meas_u = block.step(2 * n_sites) * 2.0**-53
-            flip_mask = np.zeros(rows, dtype=np.int64)
-            for q, k in zip(flips, flip_k):
-                flip_mask[block.step(2 * n_sites + 1 + q) < k] ^= bit_value[q]
-            pick_u = block.ahead(n_sites) * 2.0**-53
+        block = _streams.Block(base, np.arange(start, start + rows))
+        hit = []
+        for site, k in zip(live, live_k):
+            lanes = np.flatnonzero(block.step(site) < k)
+            block.hold(lanes)
+            hit.append(lanes)
+        meas_u = block.step(2 * n_sites) * 2.0**-53
+        flip_mask = np.zeros(rows, dtype=np.int64)
+        for q, k in zip(flips, flip_k):
+            flip_mask[block.step(2 * n_sites + 1 + q) < k] ^= bit_value[q]
+        pick_u = block.ahead(n_sites) * 2.0**-53
+        # its work array goes before the patterns are resimulated and the
+        # next block allocates its own
+        del block
 
         outcomes = np.searchsorted(clean_cum, meas_u, side="right")
         lanes = np.concatenate([np.empty(0, dtype=np.intp), *hit])

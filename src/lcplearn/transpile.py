@@ -533,10 +533,6 @@ def _placement_key(items: list[tuple[int, ...]], physical: tuple[int, ...], rout
     return bytes(map(len, placed)) + bytes(map(label.__getitem__, vertices))
 
 
-def _score(final: Circuit) -> tuple[int, int]:
-    return final.gate_counts()["cx"], final.depth()
-
-
 def transpile(
     circuit: Circuit,
     graph: CouplingGraph,
@@ -550,7 +546,8 @@ def transpile(
     and routes, rewrites and optimizes only the first of each key.  The
     lowest final CX count wins, then depth, then the lexicographically
     first, which is always the first of its key, so its compile is the one
-    returned.  A lone candidate is neither keyed nor scored.
+    returned.  A candidate is scored by its final stage record, and the
+    winner's goes into the report.  A lone candidate is not keyed.
     """
     if circuit.width > graph.num_qubits:
         raise ValueError(f"circuit width {circuit.width} exceeds device size {graph.num_qubits}")
@@ -574,20 +571,17 @@ def transpile(
         candidates = firsts.values()
 
     mapped: dict = {}
-    best = best_score = None
+    best = None
     for physical in candidates:
         routed = Circuit(graph.num_qubits, _route(circuit, physical, graph, mapped))
         rewritten = rewrite_to_device(routed)
         final, opt_report = optimize(rewritten)
-        if best is not None:  # scored only once it has a rival
-            best_score = best_score or _score(best[2][-1])
-            score = _score(final)
-            if score >= best_score:
-                continue
-            best_score = score
-        best = physical, opt_report.sweeps, (routed, rewritten, final)
+        record = StageRecord.of("optimize", final)
+        score = record.counts["cx"], record.depth
+        if best is None or score < best[0]:
+            best = score, physical, opt_report.sweeps, routed, rewritten, final, record
 
-    physical, sweeps, (routed, rewritten, final) = best
+    _, physical, sweeps, routed, rewritten, final, record = best
     # placing relabels qubits injectively, which keeps gate counts and depth; routing changes only the
     # CXs and rewriting only H (to RZ.SX.RZ) and Z (to RZ), so their counts follow from the input's
     given = StageRecord.of("input", circuit)
@@ -596,6 +590,6 @@ def transpile(
     h = counts["h"]
     rewrite = dict(route, h=0, z=0, sx=counts["sx"] + h, rz=counts["rz"] + 2 * h + counts["z"])
     records = [given, StageRecord("map", dict(counts), given.depth), StageRecord("route", route, routed.depth())]
-    records += [StageRecord("rewrite", rewrite, rewritten.depth()), StageRecord.of("optimize", final)]
-    legal_gate_set = not any(n for kind, n in records[-1].counts.items() if kind not in DEVICE_GATES)
+    records += [StageRecord("rewrite", rewrite, rewritten.depth()), record]
+    legal_gate_set = not any(n for kind, n in record.counts.items() if kind not in DEVICE_GATES)
     return final, PassReport(records, physical, legal_gate_set, _on_edges(final, graph), sweeps)

@@ -356,8 +356,8 @@ def _random_circuit(rng, width: int, max_gates: int) -> Circuit:
 def _stream_columns(base: tuple, shots, columns) -> np.ndarray:
     """Row i, column j: double columns[j] of default_rng((*base, shots[i])),
     stepped to by one `Block`."""
-    with Block(base, shots) as block:
-        return np.column_stack([block.step(c) * 2.0**-53 for c in columns])
+    block = Block(base, shots)
+    return np.column_stack([block.step(c) * 2.0**-53 for c in columns])
 
 
 def suite_noise() -> list[CheckResult]:

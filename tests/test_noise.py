@@ -419,16 +419,14 @@ class TestBitIdentity:
             assert len(set(got)) == len(got)
             assert set(got) == rows
 
-    def test_one_quito_trial_stays_under_its_memory_bound(self, monkeypatch):
+    def test_one_quito_trial_stays_under_its_memory_bound(self):
         """A block holds the measurement draw, a flip mask and the fired
         lanes' states beside the stream's work array, not its draws as
         floats: the 33 drawn columns of this circuit as an 8192-row float64
-        matrix alone are 2.2 MB.  The spare work array the warm-up leaves
-        is dropped, so the traced trial allocates its own."""
+        matrix alone are 2.2 MB."""
         circuit, _ = _transpiled("011")
         quito = NoiseProfile.quito()
         run_noisy(circuit, quito, 8192, seed=(0, 1))  # fills the module caches
-        monkeypatch.setattr(_streams, "_spare", [])
         tracemalloc.start()
         try:
             run_noisy(circuit, quito, 8192, seed=(0, 0))
@@ -436,6 +434,22 @@ class TestBitIdentity:
         finally:
             tracemalloc.stop()
         assert peak < 2.5e6
+
+    def test_a_multi_block_call_releases_each_block(self):
+        """Each block's 0.7 MB work array is freed once its draws are
+        taken, before its fault patterns are resimulated and before the
+        next block allocates: three blocks peak at about 1.43 MB, and
+        about 2.17 MB if a block lived until the next one replaced it."""
+        circuit, _ = _transpiled("011")
+        quito = NoiseProfile.quito()
+        run_noisy(circuit, quito, 3 * _BLOCK_SHOTS, seed=(0, 1))  # fills the module caches
+        tracemalloc.start()
+        try:
+            run_noisy(circuit, quito, 3 * _BLOCK_SHOTS, seed=(0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8e6
 
     def test_seeded_asp_trials_unchanged(self):
         """Counts of the per-shot replay, recorded before the rewrite."""
@@ -642,8 +656,8 @@ class TestBatchedReplay:
 def stream_matrix(base, shots, columns):
     """Row i, column j: double columns[j] of shot i's stream, stepped to by
     one `Block`."""
-    with Block(base, np.asarray(shots)) as block:
-        return np.column_stack([block.step(c) * 2.0**-53 for c in columns])
+    block = Block(base, np.asarray(shots))
+    return np.column_stack([block.step(c) * 2.0**-53 for c in columns])
 
 
 class TestStreams:
@@ -688,12 +702,12 @@ class TestStreams:
     def test_column_iterator_equals_default_rng(self, base, columns):
         """Each step's bits, read before the next step overwrites them."""
         shots = [0, 2**31, 2**32 - 1]
-        with Block(base, np.array(shots)) as block:
-            for c in columns:
-                column = block.step(c)
-                assert column.shape == (len(shots),) and column.dtype == np.uint64
-                for shot, value in zip(shots, column * 2.0**-53):
-                    assert value == np.random.default_rng((*base, shot)).random(c + 1)[-1]
+        block = Block(base, np.array(shots))
+        for c in columns:
+            column = block.step(c)
+            assert column.shape == (len(shots),) and column.dtype == np.uint64
+            for shot, value in zip(shots, column * 2.0**-53):
+                assert value == np.random.default_rng((*base, shot)).random(c + 1)[-1]
 
     @pytest.mark.parametrize(
         "base, shots, columns",
@@ -726,12 +740,12 @@ class TestStreams:
                 Block(base, np.array(shots))
             return
         *valid, malformed = columns
-        with Block(base, np.array(shots)) as block:
-            for column in valid:
-                block.step(column)
-            monkeypatch.setattr(_streams, "_advance", no_work)
-            with pytest.raises(ValueError):
-                block.step(malformed)
+        block = Block(base, np.array(shots))
+        for column in valid:
+            block.step(column)
+        monkeypatch.setattr(_streams, "_advance", no_work)
+        with pytest.raises(ValueError):
+            block.step(malformed)
 
     @staticmethod
     def _assert_ahead_equals_default_rng(base, shots, holds, m):
@@ -775,24 +789,24 @@ class TestStreams:
                 block.step(column)
 
     def test_interleaved_blocks_do_not_share_work_arrays(self):
-        """Two streams drawn in turn, and a block seeded while another is
-        open, each equal default_rng: no block seeds into arrays in use."""
+        """Two streams drawn in turn, and a block seeded and dropped while
+        another is in use, each equal default_rng: no block seeds into
+        arrays in use."""
         base = (5,)
         small, large = np.arange(3), np.array([2**32 - 1, 9, 400, 2**31])
-        with Block(base, small) as a, Block(base, large) as b:
-            for c in range(4):
-                for shots, block in ((small, a), (large, b)):
-                    column = block.step(c) * 2.0**-53
-                    assert np.array_equal(column, [np.random.default_rng((*base, k)).random(c + 1)[-1] for k in shots])
-        with Block(base, large) as outer:
-            outer.step(3)
-            with Block(base, small) as inner:
-                inner.step(3)
-            assert np.array_equal(outer.step(4) * 2.0**-53, stream_matrix(base, large, [4])[:, 0])
+        a, b = Block(base, small), Block(base, large)
+        for c in range(4):
+            for shots, block in ((small, a), (large, b)):
+                column = block.step(c) * 2.0**-53
+                assert np.array_equal(column, [np.random.default_rng((*base, k)).random(c + 1)[-1] for k in shots])
+        outer = Block(base, large)
+        outer.step(3)
+        Block(base, small).step(3)
+        assert np.array_equal(outer.step(4) * 2.0**-53, stream_matrix(base, large, [4])[:, 0])
 
-    def test_threads_sharing_the_spare_work_arrays_draw_their_own_streams(self):
-        """More threads than cores take and leave the one spare set of work
-        arrays with a short switch interval; every draw stays its own."""
+    def test_threads_drawing_blocks_at_once_draw_their_own_streams(self):
+        """More threads than cores seed and step blocks at once with a
+        short switch interval; every draw stays its own."""
         shot_sets = [np.arange(k, k + 40 + 9 * k) for k in range(6)]
         expected = [stream_matrix((8,), shots, [0, 3, 70]) for shots in shot_sets]
         results = [[] for _ in shot_sets]
@@ -814,19 +828,6 @@ class TestStreams:
         assert not any(thread.is_alive() for thread in threads)
         for got, want in zip(results, expected):
             assert len(got) == 30 and all(np.array_equal(g, want) for g in got)
-
-    def test_spare_work_arrays_are_reused_within_their_budget(self, monkeypatch):
-        monkeypatch.setattr(_streams, "_spare", [])
-        with Block((0,), np.arange(_BLOCK_SHOTS)) as block:
-            work = block._work
-        assert len(_streams._spare) == 1 and _streams._spare[0] is work
-        with Block((1,), np.arange(100)) as block:
-            assert block._work is work and not _streams._spare
-            assert np.array_equal(block.step(2) * 2.0**-53, stream_matrix((1,), np.arange(100), [2])[:, 0])
-        over = _streams._SPARE_BYTES // (8 * _streams._WORK_ROWS) + 1
-        with Block((0,), np.arange(over)):
-            pass
-        assert len(_streams._spare) == 1 and _streams._spare[0] is work
 
     @staticmethod
     def _threshold_probabilities():

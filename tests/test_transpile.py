@@ -894,10 +894,12 @@ class TestMappingSearch:
         assert report.mapping == (0, 1)
 
     def test_stage_records_built_for_the_winner_only(self, monkeypatch):
-        """One record per pass of the winner, and only the input and the
-        final circuit are scanned: the map record reuses the input's, since
-        placing keeps gate counts and depth, and the route and rewrite
-        counts follow from the input's by arithmetic."""
+        """One record per pass of the winner.  Only the input, once, and
+        each compiled candidate's final circuit, once, are scanned: a
+        candidate is scored by its final record, the winner's is reported,
+        the map record reuses the input's, since placing keeps gate counts
+        and depth, and the route and rewrite counts follow from the
+        input's by arithmetic.  s=101 onto quito compiles 13 candidates."""
         built = []
         original = StageRecord.of
 
@@ -907,7 +909,7 @@ class TestMappingSearch:
 
         monkeypatch.setattr(StageRecord, "of", counting)
         _, report = transpile(build_full_circuit(SecretString.from_string("101")), QUITO)
-        assert built == ["input", "optimize"]
+        assert built == ["optimize"] * 13 + ["input"]
         assert [s.name for s in report.stages] == ["input", "map", "route", "rewrite", "optimize"]
 
     def test_explicit_compile_takes_one_depth_pass_per_record(self, monkeypatch):
