@@ -7,10 +7,13 @@ peephole-optimize to a fixed point.  Every pass preserves the unitary
 up to global phase and never increases the gate count.  `transpile`
 runs the whole pipeline on each of a list of candidate mappings, the
 given mapping alone or every injective one, and returns the best
-candidate's compile.  Its report counts the gates of the input and
-final circuits only: routing changes only CXs and rewriting only H and
-Z, so the route and rewrite counts follow by arithmetic (their depths
-still scan the stage circuits).
+candidate's compile.  A search keys every injective mapping by where
+routing places its gates, in one array pass whose memory grows as
+mappings times key length, and compiles only the first mapping of each
+key.  The report counts the gates of the input and final circuits only:
+routing changes only CXs and rewriting only H and Z, so the route and
+rewrite counts follow by arithmetic (their depths still scan the stage
+circuits).
 
 Physical qubits are 0-based (Q0, Q1, ...); a physical circuit of width P
 uses internal qubit p+1 for Qp, so the serialized q[p] is exactly Qp.
@@ -24,6 +27,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .circuit import _KIND, CX, RZ, SX, Circuit, Gate
 
 DEVICE_GATES = frozenset({"cx", "rz", "sx", "x"})
@@ -32,7 +37,7 @@ ZERO_ANGLE_TOL = 1e-12
 
 MAX_SWEEPS = 50
 
-AUTO_MAP_LIMIT = 2520  # candidate mappings an exhaustive search may compile: P(7, 5)
+AUTO_MAP_LIMIT = 2520  # candidate mappings an exhaustive search may compile: P(7, 5); keys fit 16 bits under it
 
 
 def _is_int(value) -> bool:
@@ -519,18 +524,79 @@ def _route(circuit: Circuit, physical: tuple[int, ...], graph: CouplingGraph, ma
     return gates
 
 
-def _placement_key(items: list[tuple[int, ...]], physical: tuple[int, ...], routes: _RouteTable) -> bytes:
-    """Each item's vertices once placed (a 0-based qubit's own, a CX
-    pair's shortest path), relabelled 0, 1, ... by first appearance,
-    after the items' vertex counts: routing reads nothing else.  As
-    bytes the key leaves no short tuples in CPython's free lists; past 50
-    vertices AUTO_MAP_LIMIT admits only width 1, so every value fits."""
-    placed = [
-        (physical[i[0]],) if len(i) == 1 else routes.path((physical[i[0]], physical[i[1]])) for i in items
-    ]
-    vertices = list(itertools.chain.from_iterable(placed))
-    label = {v: n for n, v in enumerate(dict.fromkeys(vertices))}
-    return bytes(map(len, placed)) + bytes(map(label.__getitem__, vertices))
+def _path_table(graph: CouplingGraph) -> np.ndarray:
+    """Row a*P + b: the shortest path from a to b of the P-vertex `graph`
+    (none for a = b), padded with P to the longest path's vertex count."""
+    size = graph.num_qubits
+    paths = [graph.routes.path((a, b)) if a != b else () for a in range(size) for b in range(size)]
+    lengths = np.fromiter(map(len, paths), np.intp, len(paths))
+    table = np.full((len(paths), lengths.max()), size, np.uint16)
+    vertices = itertools.chain.from_iterable(paths)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.fromiter(vertices, np.uint16, lengths.sum())
+    return table
+
+
+def _first_columns(rows: np.ndarray, pad: int) -> None:
+    """Replace, in place, each value of each uint16 row by the column of
+    its first occurrence in that row, and each `pad` by the row length.
+    Two rows end equal exactly when they have pads in the same columns
+    and equal other values in the same pairs of columns."""
+    span = rows.shape[1]
+    pads = rows == pad
+    # value * span + column: sorting a row puts each value's columns together, its first column first
+    rows *= span
+    rows += np.arange(span, dtype=np.uint16)
+    rows.sort(axis=1)
+    first = rows // span
+    starts = np.ones(rows.shape, bool)
+    np.not_equal(first[:, 1:], first[:, :-1], out=starts[:, 1:])
+    # a group's first code rises along the row, so a running maximum carries it across the group
+    np.multiply(rows, starts, out=first)
+    np.maximum.accumulate(first, axis=1, out=first)
+    first %= span
+    # column * span + its value's first column: sorting a row restores column order
+    rows %= span
+    rows *= span
+    rows += first
+    rows.sort(axis=1)
+    rows %= span
+    rows[pads] = span
+
+
+def _first_of_each_key(circuit: Circuit, graph: CouplingGraph) -> list[tuple[int, ...]]:
+    """The first injective mapping, in lexicographic order, of each
+    distinct placement key, in that order.
+
+    A mapping's key places each distinct qubit of a one-qubit gate, then
+    each distinct (control, target) pair of a CX, each in order of first
+    appearance, on the vertices it occupies: one vertex, or the pair's
+    shortest path padded to a fixed length.  Each vertex is then replaced
+    by the column of its first occurrence in the key, and each pad by the
+    key's length (`_first_columns`).  Routing reads nothing else.  Every
+    mapping is one row of a single array, so memory grows as mappings
+    times key length, not with the device size.  Every value fits 16
+    unsigned bits: with P vertices and K key columns, `_first_columns`
+    stays under (P + 1) * K and K * K, and within AUTO_MAP_LIMIT these
+    are at most 5202 (width 2 on a 50-line) and 186 ** 2 (6 qubits and
+    their 30 CX pairs on a 6-line).
+    """
+    size, width = graph.num_qubits, circuit.width
+    items = list(dict.fromkeys(tuple(q - 1 for q in g.qubits) for g in circuit.gates))
+    if not items:  # every mapping routes to the same empty circuit
+        return [tuple(range(width))]
+    flat = itertools.chain.from_iterable(itertools.permutations(range(size), width))
+    mappings = np.fromiter(flat, np.uint16).reshape(-1, width)
+    wires = [item[0] for item in items if len(item) == 1]
+    pairs = [item for item in items if len(item) == 2]
+    key = [mappings.take(wires, axis=1)]
+    if pairs:  # the table is freed here, before the relabelling allocates buffers as large as the keys
+        controls, targets = zip(*pairs)
+        pair_rows = mappings.take(controls, axis=1) * size + mappings.take(targets, axis=1)
+        key.append(_path_table(graph)[pair_rows].reshape(len(mappings), -1))
+    key = np.concatenate(key, axis=1)  # C order, as the row view below needs
+    _first_columns(key, size)
+    _, index = np.unique(key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel(), return_index=True)
+    return list(map(tuple, mappings[np.sort(index)].tolist()))
 
 
 def transpile(
@@ -542,12 +608,14 @@ def transpile(
 
     The candidates are the given mapping alone or, with none given,
     every injective mapping (at most AUTO_MAP_LIMIT) in lexicographic
-    order.  A search keys each candidate before routing (`_placement_key`)
-    and routes, rewrites and optimizes only the first of each key.  The
-    lowest final CX count wins, then depth, then the lexicographically
-    first, which is always the first of its key, so its compile is the one
-    returned.  A candidate is scored by its final stage record, and the
-    winner's goes into the report.  A lone candidate is not keyed.
+    order.  A search keys all candidates at once before routing, as rows
+    of one array whose memory grows as mappings times key length
+    (`_first_of_each_key`), and routes, rewrites and optimizes only the
+    first of each key.  The lowest final CX count wins, then depth, then
+    the lexicographically first, which is always the first of its key, so
+    its compile is the one returned.  A candidate is scored by its final
+    stage record, and the winner's goes into the report.  A lone
+    candidate is not keyed.
     """
     if circuit.width > graph.num_qubits:
         raise ValueError(f"circuit width {circuit.width} exceeds device size {graph.num_qubits}")
@@ -564,11 +632,7 @@ def transpile(
                 f"auto-mapping would compile {tries} mappings, over the limit of "
                 f"{AUTO_MAP_LIMIT}; pass an explicit mapping"
             )
-        items = list(dict.fromkeys(tuple(q - 1 for q in g.qubits) for g in circuit.gates))
-        firsts: dict[bytes, tuple[int, ...]] = {}  # key -> its first candidate
-        for physical in itertools.permutations(range(graph.num_qubits), circuit.width):
-            firsts.setdefault(_placement_key(items, physical, graph.routes), physical)
-        candidates = firsts.values()
+        candidates = _first_of_each_key(circuit, graph)
 
     mapped: dict = {}
     best = None

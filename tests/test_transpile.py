@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from lcplearn import (
     transpile,
 )
 from lcplearn.oracle import Query, f
-from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _placement_key, _route, check_legal
+from lcplearn.transpile import AUTO_MAP_LIMIT, StageRecord, _first_of_each_key, _route, check_legal
 from lcplearn.verify import _recovers_secret
 
 # the package attribute `lcplearn.transpile` is the function, not the module
@@ -853,6 +854,29 @@ def reference_relabelled(gates):
     return tuple(g.kind for g in gates), tuple(map(label.__getitem__, qubits))
 
 
+def placement_key(items, physical, routes):
+    """The search key built one mapping at a time, before all mappings
+    were keyed in one array pass: each item's vertices once placed (a
+    0-based qubit's own, a CX pair's shortest path), relabelled 0, 1, ...
+    by first appearance, after the items' vertex counts."""
+    placed = [(physical[i[0]],) if len(i) == 1 else routes.path((physical[i[0]], physical[i[1]])) for i in items]
+    vertices = list(itertools.chain.from_iterable(placed))
+    label = {v: n for n, v in enumerate(dict.fromkeys(vertices))}
+    return bytes(map(len, placed)) + bytes(map(label.__getitem__, vertices))
+
+
+def key_groups(circuit, graph):
+    """The injective mappings grouped by `placement_key` and by
+    `reference_relabelled` of their routed gates, each group and the
+    groups in lexicographic order of their mappings."""
+    items = list(dict.fromkeys(tuple(q - 1 for q in g.qubits) for g in circuit.gates))
+    placed, routed = {}, {}
+    for physical in itertools.permutations(range(graph.num_qubits), circuit.width):
+        placed.setdefault(placement_key(items, physical, graph.routes), []).append(physical)
+        routed.setdefault(reference_relabelled(_route(circuit, physical, graph, {})), []).append(physical)
+    return list(placed.values()), list(routed.values())
+
+
 KEYED_CASES = [
     (build_full_circuit(SecretString.from_string("01")), QUITO),
     (build_full_circuit(SecretString.from_string("101")), QUITO),
@@ -861,8 +885,36 @@ KEYED_CASES = [
     (random_circuit(np.random.default_rng(26), 5, 40), QUITO),  # 35 gates, 5 CX pairs, 60 keys
     # paths of lengths 2 and 3 cover the same five vertices as 3 and 2
     (Circuit(4, [CX(1, 2), CX(3, 4)]), QUITO),
+    # every ordered pair: 6 + 30 * 6 = 186 key columns, the most AUTO_MAP_LIMIT admits
+    (Circuit(6, [X(q) for q in range(1, 7)] + [CX(a, b) for a, b in itertools.permutations(range(1, 7), 2)]),
+     CouplingGraph.linear(6)),
 ]
 KEYED_IDS = ["quito-01", "quito-101", "ring6-110", "line5-random"]
+
+
+@st.composite
+def search_cases(draw):
+    """A connected graph of 1..7 vertices (a line, a ring, or a tree whose
+    vertex v hangs off an earlier one) and a circuit of width 1..5 on it,
+    so at most P(7, 5) = AUTO_MAP_LIMIT mappings: up to 8 gates, CXs
+    among them only if drawn."""
+    size = draw(st.integers(1, 7), label="size")
+    shape = draw(st.sampled_from(["line", "ring", "tree"]), label="shape")
+    edges = {(v - 1, v) for v in range(1, size)}
+    if shape == "ring" and size > 2:
+        edges.add((0, size - 1))
+    elif shape == "tree":
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, size)}
+    width = draw(st.integers(1, min(size, 5)), label="width")
+    kinds = ["x", "h"] + (["cx"] if width > 1 and draw(st.booleans(), label="with CX") else [])
+    qubit = st.integers(1, width)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8), label="kinds"):
+        if kind == "cx":
+            gates.append(CX(*draw(st.lists(qubit, min_size=2, max_size=2, unique=True))))
+        else:
+            gates.append(Gate(kind, (draw(qubit),)))
+    return Circuit(width, gates), CouplingGraph(size, frozenset(edges))
 
 
 class TestMappingSearch:
@@ -970,17 +1022,18 @@ class TestMappingSearch:
         assert serialize(final) == serialize(want_final)
         assert report.to_dict() == want_report.to_dict()
 
-    @pytest.mark.parametrize("circuit,graph", KEYED_CASES, ids=KEYED_IDS + ["quito-random5", "quito-two-pairs"])
+    @pytest.mark.parametrize(
+        "circuit,graph", KEYED_CASES, ids=KEYED_IDS + ["quito-random5", "quito-two-pairs", "line6-every-pair"]
+    )
     def test_placement_key_groups_candidates_as_the_routed_key_does(self, monkeypatch, circuit, graph):
-        """Keyed before routing, the candidates fall into the groups that
-        keying each routed circuit (`reference_relabelled`) forms, and the
-        search routes exactly the first candidate of each group, in order."""
-        items = list(dict.fromkeys(tuple(q - 1 for q in g.qubits) for g in circuit.gates))
-        placed, routed = {}, {}
-        for physical in itertools.permutations(range(graph.num_qubits), circuit.width):
-            placed.setdefault(_placement_key(items, physical, graph.routes), []).append(physical)
-            routed.setdefault(reference_relabelled(_route(circuit, physical, graph, {})), []).append(physical)
-        assert sorted(placed.values()) == sorted(routed.values())
+        """Keyed before routing, one mapping at a time (`placement_key`),
+        the candidates fall into the groups that keying each routed circuit
+        (`reference_relabelled`) forms; the array pass keeps the first
+        candidate of each group, in order, and the search routes exactly
+        those."""
+        placed, routed = key_groups(circuit, graph)
+        assert sorted(placed) == sorted(routed)
+        assert _first_of_each_key(circuit, graph) == [group[0] for group in placed] == [group[0] for group in routed]
         firsts = []
         original = transpile_module._route
 
@@ -990,7 +1043,20 @@ class TestMappingSearch:
 
         monkeypatch.setattr(transpile_module, "_route", recording)
         transpile(circuit, graph)
-        assert firsts == [group[0] for group in routed.values()]
+        assert firsts == [group[0] for group in routed]
+
+    @given(case=search_cases())
+    @example(case=(Circuit(3, []), CouplingGraph.linear(7)))
+    @example(case=(Circuit(2, [X(2), Z(2)]), RING6))
+    @settings(max_examples=200, deadline=None)
+    def test_array_pass_keeps_the_first_of_each_routed_group(self, case):
+        """On random lines, rings and trees of up to 7 vertices, for
+        circuits of width 1..5 with no gate, one-qubit gates only, or CXs
+        too, the candidates are the first mapping of each group of routed
+        circuits equal up to relabelling, in order."""
+        circuit, graph = case
+        placed, routed = key_groups(circuit, graph)
+        assert _first_of_each_key(circuit, graph) == [group[0] for group in routed] == [group[0] for group in placed]
 
     def test_second_auto_map_on_a_graph_searches_no_path(self, monkeypatch):
         """The key reads each pair's path from the graph's route table: the
@@ -1018,14 +1084,25 @@ class TestMappingSearch:
         assert report.legal and report.final_counts["cx"] == 2
 
     def test_widest_searches_within_the_limit_fit_the_byte_key(self):
-        """A key's vertex counts and labels are bytes: a width-2 search on a
-        50-line (2450 mappings, paths of up to 50 vertices) and a width-1
-        search on a 2520-line both run; a 51-line is over the limit."""
-        _, report = transpile(Circuit(2, [CX(1, 2)]), CouplingGraph.linear(50))
-        assert report.mapping == (0, 1) and report.final_counts["cx"] == 1
+        """A width-2 search on a 50-line (2450 mappings, paths of up to 50
+        vertices) and a width-1 search on a 2520-line each trace under 2 MB,
+        path searches included: the key arrays grow as mappings times key
+        length, not with the device size.  A 51-line is over the limit."""
+        searches = [
+            (Circuit(2, [CX(1, 2)]), CouplingGraph.linear(50), (0, 1)),
+            (Circuit(1, [X(1)]), CouplingGraph.linear(AUTO_MAP_LIMIT), (0,)),
+        ]
+        for circuit, graph, mapping in searches:
+            tracemalloc.start()
+            try:
+                _, report = transpile(circuit, graph)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.mapping == mapping
+            assert report.final_counts["cx"] == circuit.gate_counts()["cx"]
+            assert peak < 2_000_000
         assert math.perm(51, 2) > AUTO_MAP_LIMIT
-        _, report = transpile(Circuit(1, [X(1)]), CouplingGraph.linear(AUTO_MAP_LIMIT))
-        assert report.mapping == (0,)
 
     def test_limit_counts_mappings_not_width(self):
         assert math.perm(7, 5) == AUTO_MAP_LIMIT
